@@ -18,17 +18,9 @@ from __future__ import annotations
 
 import itertools
 
-from repro.core.fairset import is_fair_set, is_proportion_fair_set
+from repro.core.fairset import is_fair_set
 from repro.core.ssfbc import Biclique
 from repro.graph.bipartite import BipartiteGraph
-
-
-def _fair_pred(g: BipartiteGraph, side: str, k: int, delta: int, theta: float | None):
-    val = g.v_val if side == "v" else g.u_val
-    domain = g.attrs_v if side == "v" else g.attrs_u
-    if theta is None:
-        return lambda s: is_fair_set(s, val, domain, k, delta)
-    return lambda s: is_proportion_fair_set(s, val, domain, k, delta, theta)
 
 
 def brute_ssfbc(
@@ -39,13 +31,12 @@ def brute_ssfbc(
     theta: float | None = None,
 ) -> set[Biclique]:
     """All SSFBCs (or PSSFBCs with ``theta``) of ``g``, from the definition."""
-    fair = _fair_pred(g, "v", beta, delta, theta)
     vs = sorted(g.adj_v)
     cands: dict[frozenset[int], frozenset[int]] = {}
     for r in range(1, len(vs) + 1):
         for combo in itertools.combinations(vs, r):
             s = frozenset(combo)
-            if not fair(s):
+            if not is_fair_set(s, g.v_val, g.attrs_v, beta, delta, theta):
                 continue
             l = g.common_neighbors_of_vs(s)
             if len(l) >= alpha:
@@ -65,20 +56,18 @@ def brute_bsfbc(
     theta: float | None = None,
 ) -> set[Biclique]:
     """All BSFBCs (or PBSFBCs with ``theta``) of ``g``, from the definition."""
-    fair_v = _fair_pred(g, "v", beta, delta, theta)
-    fair_u = _fair_pred(g, "u", alpha, delta, theta)
     vs = sorted(g.adj_v)
     satisfying: list[Biclique] = []
     for r in range(1, len(vs) + 1):
         for combo in itertools.combinations(vs, r):
             s = frozenset(combo)
-            if not fair_v(s):
+            if not is_fair_set(s, g.v_val, g.attrs_v, beta, delta, theta):
                 continue
             cand_u = sorted(g.common_neighbors_of_vs(s))
             for ru in range(1, len(cand_u) + 1):
                 for cu in itertools.combinations(cand_u, ru):
                     a = frozenset(cu)
-                    if fair_u(a):
+                    if is_fair_set(a, g.u_val, g.attrs_u, alpha, delta, theta):
                         satisfying.append((a, s))
     out: set[Biclique] = set()
     for a, s in satisfying:

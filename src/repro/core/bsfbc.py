@@ -9,7 +9,7 @@ maximal fair subset of ``N(l')`` (Algorithm 4).
 """
 from __future__ import annotations
 
-from repro.core.fairset import combination, combination_pro, mfs_check
+from repro.core.fairset import _check_theta, combination, mfs_check
 from repro.core.ssfbc import Algorithm, Biclique, Ordering, search_ssfbc
 from repro.graph.bipartite import BipartiteGraph
 
@@ -27,15 +27,10 @@ def expand_to_bsfbc(
     With ``theta`` this is the BFairBCEMPro++ expansion (CombinationPro and a
     ratio-aware MFSCheck, Sec. IV-C).
     """
+    _check_theta(theta, g.attrs_u, g.attrs_v)
     res: list[Biclique] = []
     for l_full, r in ssfbcs:
-        if theta is None:
-            upper_sets = combination(l_full, g.u_val, g.attrs_u, alpha, delta)
-        else:
-            upper_sets = combination_pro(
-                l_full, g.u_val, g.attrs_u, alpha, delta, theta
-            )
-        for l1 in upper_sets:
+        for l1 in combination(l_full, g.u_val, g.attrs_u, alpha, delta, theta):
             n_l1 = g.common_neighbors_of_us(l1)
             if mfs_check(n_l1, r, g.v_val, g.attrs_v, beta, delta, theta):
                 res.append((l1, r))
@@ -50,18 +45,23 @@ def search_bsfbc(
     *,
     algorithm: Algorithm = "bcem_pp",
     ordering: Ordering = "deg",
+    theta: float | None = None,
     time_budget_s: float | None = None,
 ) -> list[Biclique]:
-    """Enumerate all BSFBCs of an (already BCFCore-pruned) graph.
+    """Enumerate all BSFBCs (or, with ``theta``, PBSFBCs) of an (already
+    BCFCore-pruned) graph.
 
     ``algorithm`` selects the SSFBC engine: ``"bcem"`` gives BFairBCEM,
-    ``"bcem_pp"`` gives BFairBCEM++, ``"nsf"`` gives BNSF.
+    ``"bcem_pp"`` gives BFairBCEM++, ``"nsf"`` gives BNSF. ``theta`` gives
+    BFairBCEMPro++ (``"bcem_pp"`` only, theta in (0, 0.5], at most two
+    attribute values on each side).
     """
+    _check_theta(theta, g_pruned.attrs_u, g_pruned.attrs_v)
     ssfbcs = search_ssfbc(
         g_pruned, alpha, beta, delta, algorithm=algorithm, ordering=ordering,
-        time_budget_s=time_budget_s,
+        theta=theta, time_budget_s=time_budget_s,
     )
-    return expand_to_bsfbc(g_pruned, ssfbcs, alpha, beta, delta)
+    return expand_to_bsfbc(g_pruned, ssfbcs, alpha, beta, delta, theta)
 
 
 def bfair_bcem(

@@ -6,12 +6,13 @@ colourful β-core peel (Definitions 9/10) → remove pruned fair-side vertices
 → FCore again. The bi-side variant applies the bi-2-hop construction and an
 ego colourful core on *both* sides before re-running BFCore.
 
-Two drivers are provided: a fully local pipeline (used by the enumeration
-micro-benchmarks, mirroring the paper's single-machine setup) and a hybrid
-Spark pipeline in which the peeling and the Σd² 2-hop construction — the
-expensive, data-parallel parts — run as DataFrame dataflow, while the
-inherently sequential greedy colouring and queue peel run on the collected
-(already small) 2-hop graph.
+Both pipelines run on one of two backends through one body: fully local
+(used by the enumeration micro-benchmarks, mirroring the paper's
+single-machine setup), or hybrid Spark, in which the peeling and the Σd²
+2-hop construction — the expensive, data-parallel parts — run as DataFrame
+dataflow, while the inherently sequential greedy colouring and ego peel run
+on the collected (already small) 2-hop graph. The U side of BCFCore runs the
+V-side machinery on ``g.mirror()`` on either backend.
 """
 from __future__ import annotations
 
@@ -92,116 +93,76 @@ def _prune_two_hop_side(
     return ego_colorful_core(sub, val, domain, color, k)
 
 
-def cfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
-    """Algorithm 2, fully local. Contains every SSFBC of ``g`` (Lemmas 1-2)."""
-    g1 = fcore(g, alpha, beta)
+def _peel(
+    g: BipartiteGraph, alpha: int, beta: int, bi: bool, spark: SparkSession | None
+) -> BipartiteGraph:
+    """FCore (BFCore if ``bi``): local queue peel, or collected DataFrame fixpoint."""
+    if spark is None:
+        return bfcore(g, alpha, beta) if bi else fcore(g, alpha, beta)
+    edges, u_attrs, v_attrs = g.to_spark(spark)
+    n_au, n_av = len(g.attrs_u), len(g.attrs_v)
+    if bi:
+        core = bfcore_edges(edges, u_attrs, v_attrs, alpha, beta, n_au, n_av)
+    else:
+        core = fcore_edges(edges, v_attrs, alpha, beta, n_av)
+    pdf = core.toPandas()
+    return g.induced(set(pdf["u"].tolist()), set(pdf["v"].tolist()))
+
+
+def _two_hop(
+    g: BipartiteGraph, k: int, bi: bool, spark: SparkSession | None
+) -> Adjacency:
+    """(Bi-)2-hop adjacency over ``g``'s V side: local Σd², or DataFrame self-join."""
+    if spark is None:
+        return bi_two_hop(g, k) if bi else two_hop(g, k)
+    edges, u_attrs, _v_attrs = g.to_spark(spark)
+    if bi:
+        pairs = bi_two_hop_edges_df(edges, u_attrs, k, len(g.attrs_u)).toPandas()
+    else:
+        pairs = two_hop_edges_df(edges, k).toPandas()
+    return adjacency_from_pairs(
+        list(zip(pairs["v1"].tolist(), pairs["v2"].tolist())), sorted(g.adj_v)
+    )
+
+
+def _prune(
+    g: BipartiteGraph, alpha: int, beta: int, bi: bool, spark: SparkSession | None
+) -> BipartiteGraph:
+    """CFCore (BCFCore if ``bi``); only the peel and the 2-hop step see ``spark``."""
+    g1 = _peel(g, alpha, beta, bi, spark)
     if g1.n_edges == 0:
         return g1
-    keep_v = _prune_two_hop_side(two_hop(g1, alpha), g1.v_val, g.attrs_v, beta)
-    g2 = g1.induced(g1.adj_u.keys(), keep_v)
-    return fcore(g2, alpha, beta) if g2.n_edges else g2
+    keep_v = _prune_two_hop_side(
+        _two_hop(g1, alpha, bi, spark), g1.v_val, g.attrs_v, beta
+    )
+    keep_u = g1.adj_u.keys()
+    if bi:
+        keep_u = _prune_two_hop_side(
+            _two_hop(g1.mirror(), beta, bi, spark), g1.u_val, g.attrs_u, alpha
+        )
+    g2 = g1.induced(keep_u, keep_v)
+    return _peel(g2, alpha, beta, bi, spark) if g2.n_edges else g2
+
+
+def cfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
+    """Algorithm 2, fully local. Contains every SSFBC of ``g`` (Lemmas 1-2)."""
+    return _prune(g, alpha, beta, False, None)
 
 
 def bcfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
     """Bi-side colorful pruning. Contains every BSFBC of ``g`` (Lemma 3 + Sec. IV-A)."""
-    g1 = bfcore(g, alpha, beta)
-    if g1.n_edges == 0:
-        return g1
-    keep_v = _prune_two_hop_side(bi_two_hop(g1, alpha), g1.v_val, g.attrs_v, beta)
-    keep_u = _prune_two_hop_side(
-        bi_two_hop(g1.mirror(), beta), g1.u_val, g.attrs_u, alpha
-    )
-    g2 = g1.induced(keep_u, keep_v)
-    return bfcore(g2, alpha, beta) if g2.n_edges else g2
-
-
-# --------------------------------------------------------------------------
-# Hybrid Spark pipelines
-# --------------------------------------------------------------------------
-
-def _induce_from_edge_pandas(g: BipartiteGraph, edges_pdf) -> BipartiteGraph:
-    us = set(edges_pdf["u"].tolist())
-    vs = set(edges_pdf["v"].tolist())
-    return g.induced(us, vs)
-
-
-def fcore_spark(
-    spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
-) -> BipartiteGraph:
-    """Distributed FCore; returns the pruned graph collected locally."""
-    edges, _u_attrs, v_attrs = g.to_spark(spark)
-    core = fcore_edges(edges, v_attrs, alpha, beta, len(g.attrs_v))
-    return _induce_from_edge_pandas(g, core.toPandas())
-
-
-def bfcore_spark(
-    spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
-) -> BipartiteGraph:
-    """Distributed BFCore; returns the pruned graph collected locally."""
-    edges, u_attrs, v_attrs = g.to_spark(spark)
-    core = bfcore_edges(
-        edges, u_attrs, v_attrs, alpha, beta, len(g.attrs_u), len(g.attrs_v)
-    )
-    return _induce_from_edge_pandas(g, core.toPandas())
+    return _prune(g, alpha, beta, True, None)
 
 
 def cfcore_spark(
     spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
 ) -> BipartiteGraph:
     """Hybrid Algorithm 2: DF peel + DF 2-hop, local colouring/ego peel, DF re-peel."""
-    edges, _u_attrs, v_attrs = g.to_spark(spark)
-    n_av = len(g.attrs_v)
-    core = fcore_edges(edges, v_attrs, alpha, beta, n_av)
-    core_pdf = core.toPandas()
-    if core_pdf.empty:
-        return _induce_from_edge_pandas(g, core_pdf)
-    g1 = _induce_from_edge_pandas(g, core_pdf)
-    pairs_pdf = two_hop_edges_df(core, alpha).toPandas()
-    h = adjacency_from_pairs(
-        list(zip(pairs_pdf["v1"].tolist(), pairs_pdf["v2"].tolist())),
-        sorted(g1.adj_v),
-    )
-    keep_v = _prune_two_hop_side(h, g1.v_val, g.attrs_v, beta)
-    g2 = g1.induced(g1.adj_u.keys(), keep_v)
-    if g2.n_edges == 0:
-        return g2
-    edges2, _u2, v_attrs2 = g2.to_spark(spark)
-    core2 = fcore_edges(edges2, v_attrs2, alpha, beta, n_av)
-    return _induce_from_edge_pandas(g2, core2.toPandas())
+    return _prune(g, alpha, beta, False, spark)
 
 
 def bcfcore_spark(
     spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
 ) -> BipartiteGraph:
     """Hybrid BCFCore: DF bi-peel + DF bi-2-hop on both sides, local ego peels."""
-    edges, u_attrs, v_attrs = g.to_spark(spark)
-    n_au, n_av = len(g.attrs_u), len(g.attrs_v)
-    core = bfcore_edges(edges, u_attrs, v_attrs, alpha, beta, n_au, n_av)
-    core_pdf = core.toPandas()
-    if core_pdf.empty:
-        return _induce_from_edge_pandas(g, core_pdf)
-    g1 = _induce_from_edge_pandas(g, core_pdf)
-
-    pairs_v = bi_two_hop_edges_df(core, u_attrs, alpha, n_au).toPandas()
-    h_v = adjacency_from_pairs(
-        list(zip(pairs_v["v1"].tolist(), pairs_v["v2"].tolist())), sorted(g1.adj_v)
-    )
-    keep_v = _prune_two_hop_side(h_v, g1.v_val, g.attrs_v, beta)
-
-    mirrored = core.select(
-        core["v"].alias("u"), core["u"].alias("v")
-    )
-    pairs_u = bi_two_hop_edges_df(
-        mirrored, v_attrs.withColumnRenamed("v", "u"), beta, n_av
-    ).toPandas()
-    h_u = adjacency_from_pairs(
-        list(zip(pairs_u["v1"].tolist(), pairs_u["v2"].tolist())), sorted(g1.adj_u)
-    )
-    keep_u = _prune_two_hop_side(h_u, g1.u_val, g.attrs_u, alpha)
-
-    g2 = g1.induced(keep_u, keep_v)
-    if g2.n_edges == 0:
-        return g2
-    edges2, u2, v2 = g2.to_spark(spark)
-    core2 = bfcore_edges(edges2, u2, v2, alpha, beta, n_au, n_av)
-    return _induce_from_edge_pandas(g2, core2.toPandas())
+    return _prune(g, alpha, beta, True, spark)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.fairset import _check_theta
 from repro.core.ssfbc import Algorithm, Biclique, Ordering, order_candidates
 from repro.graph.bipartite import BipartiteGraph
 
@@ -38,10 +39,13 @@ def enumerate_df(
     """Distributed enumeration; returns a DataFrame of (l, r) id-arrays.
 
     ``model`` is ``"ssfbc"`` or ``"bsfbc"``; with ``theta`` set these become
-    the proportion models (PSSFBC / PBSFBC).
+    the proportion models (PSSFBC / PBSFBC). A bad ``theta`` is rejected
+    here, on the driver, before any Spark job runs.
     """
     if model not in ("ssfbc", "bsfbc"):
         raise ValueError(f"unknown model {model!r}")
+    both = model == "bsfbc"
+    _check_theta(theta, g_pruned.attrs_v, *([g_pruned.attrs_u] if both else []))
     order = order_candidates(g_pruned, g_pruned.adj_v, ordering)
     n = len(order)
     if n_partitions is None:

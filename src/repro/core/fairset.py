@@ -1,9 +1,10 @@
 """Fair sets, maximal fair subsets, and their combinatorial enumeration.
 
 Implements Definition 11 (fair set), Definition 12 / Algorithm 4
-(``MFSCheck``), Algorithm 7 (``Combination``), and the proportion variant
-``CombinationPro`` (Sec. III-D). A brute-force maximal-fair-subset
-enumerator is provided as a test oracle.
+(``MFSCheck``) and Algorithm 7 (``Combination``). An optional ``theta``
+turns each into its proportion variant (Definition 5, ``CombinationPro`` of
+Sec. III-D). A brute-force maximal-fair-subset enumerator is provided as a
+test oracle.
 
 Throughout, an "attributed set" is represented as any iterable of vertex
 ids together with a ``val`` mapping and an explicit attribute domain — the
@@ -32,27 +33,37 @@ def is_fair_set(
     domain: Sequence[Hashable],
     k: int,
     delta: int,
+    theta: float | None = None,
 ) -> bool:
-    """Definition 11: every attribute count >= k and pairwise diffs <= delta."""
+    """Definition 11: every attribute count >= k and pairwise diffs <= delta.
+
+    With ``theta`` set, also Definition 5 condition (3): every attribute
+    ratio ``|S_a| / |S|`` is >= theta (proportion fairness).
+    """
     counts = list(attr_counts(s, val, domain).values())
-    return min(counts) >= k and max(counts) - min(counts) <= delta
-
-
-def is_proportion_fair_set(
-    s: Iterable[int],
-    val: Mapping[int, Hashable],
-    domain: Sequence[Hashable],
-    k: int,
-    delta: int,
-    theta: float,
-) -> bool:
-    """Definition 5 condition (2)+(3): fair set whose every attribute ratio >= theta."""
-    counts = attr_counts(s, val, domain)
-    total = sum(counts.values())
-    if not is_fair_set(s, val, domain, k, delta):
+    lo = min(counts)
+    if lo < k or max(counts) - lo > delta:
         return False
-    # total == 0 is unreachable here for k >= 1; guard for k == 0.
-    return total == 0 or min(counts.values()) / total >= theta
+    if theta is None:
+        return True
+    total = sum(counts)
+    # An empty set (reachable only for k == 0) has no ratio to violate.
+    return total == 0 or lo / total >= theta
+
+
+def _check_theta(theta: float | None, *domains: Sequence[Hashable]) -> None:
+    """Raise ValueError for a theta the proportion models cannot answer.
+
+    That is a theta outside (0, 0.5], or one set on an attribute domain of
+    more than two values: the ratio cap of :func:`combination` holds only
+    for two classes.
+    """
+    if theta is None:
+        return
+    if not 0 < theta <= 0.5:
+        raise ValueError(f"theta must be in (0, 0.5], got {theta}")
+    if any(len(d) > 2 for d in domains):
+        raise ValueError("theta requires attribute domains of at most two values")
 
 
 def mfs_check(
@@ -76,13 +87,8 @@ def mfs_check(
     all pairwise differences and, for theta <= 0.5, every ratio); (3) fail
     if any single spare vertex can be added while keeping fairness.
     """
-    fair = (
-        (lambda t: is_fair_set(t, val, domain, k, delta))
-        if theta is None
-        else (lambda t: is_proportion_fair_set(t, val, domain, k, delta, theta))
-    )
     s_hat = set(s_hat)
-    if not fair(s_hat):
+    if not is_fair_set(s_hat, val, domain, k, delta, theta):
         return False
     spare = [x for x in s if x not in s_hat]
     spare_by_attr: dict[Hashable, list[int]] = {a: [] for a in domain}
@@ -91,10 +97,11 @@ def mfs_check(
     if all(spare_by_attr[a] for a in domain):
         return False
     for a in domain:
-        if spare_by_attr[a]:
-            # All spare vertices of one attribute are interchangeable here.
-            if fair(s_hat | {spare_by_attr[a][0]}):
-                return False
+        # All spare vertices of one attribute are interchangeable here.
+        if spare_by_attr[a] and is_fair_set(
+            s_hat | {spare_by_attr[a][0]}, val, domain, k, delta, theta
+        ):
+            return False
     return True
 
 
@@ -108,6 +115,7 @@ def combination(
     domain: Sequence[Hashable],
     k: int,
     delta: int,
+    theta: float | None = None,
 ) -> list[frozenset[int]]:
     """Algorithm 7: all maximal fair subsets of ``s``.
 
@@ -115,54 +123,23 @@ def combination(
     delta)`` vertices where ``msize`` is the smallest class size; the result
     is the cross-product of all csize-subsets per class. Returns [] if some
     class is below ``k``.
+
+    With ``theta`` set this is CombinationPro (Sec. III-D), the maximal
+    *proportion* fair subsets: ``csize`` is also capped at ``floor(msize *
+    (1 - theta) / theta)``, derived from ``msize / (msize + csize) >= theta``.
     """
+    _check_theta(theta, domain)
     by_attr: dict[Hashable, list[int]] = {a: [] for a in domain}
     for x in s:
         by_attr[val[x]].append(x)
     if any(len(by_attr[a]) < k for a in domain):
         return []
     msize = min(len(by_attr[a]) for a in domain)
-    per_attr: list[list[frozenset[int]]] = []
-    for a in domain:
-        csize = min(len(by_attr[a]), msize + delta)
-        per_attr.append(_subsets_of_size(by_attr[a], csize))
-    out: list[frozenset[int]] = []
-    for combo in itertools.product(*per_attr):
-        out.append(frozenset().union(*combo))
-    return out
-
-
-def combination_pro(
-    s: Iterable[int],
-    val: Mapping[int, Hashable],
-    domain: Sequence[Hashable],
-    k: int,
-    delta: int,
-    theta: float,
-) -> list[frozenset[int]]:
-    """CombinationPro (Sec. III-D): maximal *proportion* fair subsets.
-
-    Identical to :func:`combination` but the class size is additionally
-    capped at ``floor(msize * (1 - theta) / theta)``, derived from
-    ``msize / (msize + csize) >= theta``.
-    """
-    if not 0 < theta <= 0.5:
-        raise ValueError(f"theta must be in (0, 0.5], got {theta}")
-    by_attr: dict[Hashable, list[int]] = {a: [] for a in domain}
-    for x in s:
-        by_attr[val[x]].append(x)
-    if any(len(by_attr[a]) < k for a in domain):
-        return []
-    msize = min(len(by_attr[a]) for a in domain)
-    ratio_cap = math.floor(msize * (1.0 - theta) / theta + 1e-9)
-    per_attr: list[list[frozenset[int]]] = []
-    for a in domain:
-        csize = min(len(by_attr[a]), msize + delta, ratio_cap)
-        per_attr.append(_subsets_of_size(by_attr[a], csize))
-    out: list[frozenset[int]] = []
-    for combo in itertools.product(*per_attr):
-        out.append(frozenset().union(*combo))
-    return out
+    cap = msize + delta
+    if theta is not None:
+        cap = min(cap, math.floor(msize * (1.0 - theta) / theta + 1e-9))
+    per_attr = [_subsets_of_size(by_attr[a], min(len(by_attr[a]), cap)) for a in domain]
+    return [frozenset().union(*combo) for combo in itertools.product(*per_attr)]
 
 
 def brute_maximal_fair_subsets(
@@ -174,17 +151,12 @@ def brute_maximal_fair_subsets(
     theta: float | None = None,
 ) -> set[frozenset[int]]:
     """Definition-level oracle: all subsets that are fair with no fair proper superset."""
-    fair = (
-        (lambda t: is_fair_set(t, val, domain, k, delta))
-        if theta is None
-        else (lambda t: is_proportion_fair_set(t, val, domain, k, delta, theta))
-    )
     items = sorted(s)
     fair_subsets = [
         frozenset(c)
         for r in range(len(items) + 1)
         for c in itertools.combinations(items, r)
-        if fair(c)
+        if is_fair_set(c, val, domain, k, delta, theta)
     ]
     return {
         a

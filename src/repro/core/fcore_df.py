@@ -16,22 +16,26 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def _u_ok(edges: DataFrame, v_attrs: DataFrame, beta: int, n_attrs_v: int) -> DataFrame:
-    """Upper vertices whose attribute degree is >= beta for all ``n_attrs_v`` values.
+def _attr_ok(
+    edges: DataFrame, attrs: DataFrame, side: str, k: int, n_attrs: int
+) -> DataFrame:
+    """Vertices of ``side`` ("u" or "v") with attribute degree >= k for all values.
 
+    ``attrs`` holds the other side's attributes, ``n_attrs`` values in all.
     An attribute value with zero neighbours never appears in the groupBy, so
     "all values qualify" is expressed as "the number of qualifying values
     equals the domain size".
     """
+    other = "v" if side == "u" else "u"
     return (
-        edges.join(v_attrs, "v")
-        .groupBy("u", "val")
+        edges.join(attrs, other)
+        .groupBy(side, "val")
         .agg(F.count("*").alias("ad"))
-        .where(F.col("ad") >= beta)
-        .groupBy("u")
+        .where(F.col("ad") >= k)
+        .groupBy(side)
         .agg(F.count("*").alias("nvals"))
-        .where(F.col("nvals") >= n_attrs_v)
-        .select("u")
+        .where(F.col("nvals") >= n_attrs)
+        .select(side)
     )
 
 
@@ -41,20 +45,6 @@ def _v_ok_degree(edges: DataFrame, alpha: int) -> DataFrame:
         edges.groupBy("v")
         .agg(F.count("*").alias("d"))
         .where(F.col("d") >= alpha)
-        .select("v")
-    )
-
-
-def _v_ok_attr(edges: DataFrame, u_attrs: DataFrame, alpha: int, n_attrs_u: int) -> DataFrame:
-    """Lower vertices with attribute degree >= alpha for all A(U) values (BFCore)."""
-    return (
-        edges.join(u_attrs, "u")
-        .groupBy("v", "val")
-        .agg(F.count("*").alias("ad"))
-        .where(F.col("ad") >= alpha)
-        .groupBy("v")
-        .agg(F.count("*").alias("nvals"))
-        .where(F.col("nvals") >= n_attrs_u)
         .select("v")
     )
 
@@ -87,9 +77,9 @@ def fcore_edges(
         raise ValueError("fcore_edges requires alpha >= 1 and beta >= 1")
 
     def step(e: DataFrame) -> DataFrame:
-        return e.join(_u_ok(e, v_attrs, beta, n_attrs_v), "u", "left_semi").join(
-            _v_ok_degree(e, alpha), "v", "left_semi"
-        )
+        u_ok = _attr_ok(e, v_attrs, "u", beta, n_attrs_v)
+        v_ok = _v_ok_degree(e, alpha)
+        return e.join(u_ok, "u", "left_semi").join(v_ok, "v", "left_semi")
 
     return _iterate(edges, step)
 
@@ -108,8 +98,8 @@ def bfcore_edges(
         raise ValueError("bfcore_edges requires alpha >= 1 and beta >= 1")
 
     def step(e: DataFrame) -> DataFrame:
-        return e.join(_u_ok(e, v_attrs, beta, n_attrs_v), "u", "left_semi").join(
-            _v_ok_attr(e, u_attrs, alpha, n_attrs_u), "v", "left_semi"
-        )
+        u_ok = _attr_ok(e, v_attrs, "u", beta, n_attrs_v)
+        v_ok = _attr_ok(e, u_attrs, "v", alpha, n_attrs_u)
+        return e.join(u_ok, "u", "left_semi").join(v_ok, "v", "left_semi")
 
     return _iterate(edges, step)

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
 from repro.core.fairset import (
+    _check_theta,
     attr_counts,
     combination,
-    combination_pro,
     is_fair_set,
-    is_proportion_fair_set,
     mfs_check,
 )
 from repro.graph.bipartite import BipartiteGraph
@@ -82,16 +81,12 @@ class _Ctx:
         return self.g.attrs_v
 
     def fair(self, s: Iterable[int]) -> bool:
-        if self.theta is None:
-            return is_fair_set(s, self.g.v_val, self.domain, self.beta, self.delta)
-        return is_proportion_fair_set(
+        return is_fair_set(
             s, self.g.v_val, self.domain, self.beta, self.delta, self.theta
         )
 
     def combine(self, s: Iterable[int]) -> list[frozenset[int]]:
-        if self.theta is None:
-            return combination(s, self.g.v_val, self.domain, self.beta, self.delta)
-        return combination_pro(
+        return combination(
             s, self.g.v_val, self.domain, self.beta, self.delta, self.theta
         )
 
@@ -255,14 +250,14 @@ def search_ssfbc(
     ``g_pruned`` should come from :func:`repro.core.cfcore.cfcore` (or the
     Spark pipeline); running on an unpruned graph is valid, just slower.
     ``theta`` is only supported with ``algorithm="bcem_pp"`` (the paper's
-    FairBCEMPro++ is defined as a modification of Algorithm 6). With
+    FairBCEMPro++ is defined as a modification of Algorithm 6), in (0, 0.5]
+    and with at most two V attribute values. With
     ``time_budget_s`` the search raises :class:`SearchTimeout` once the
     budget elapses (the paper's 24h "INF" convention, scaled).
     """
     if theta is not None and algorithm != "bcem_pp":
         raise ValueError("theta (Pro model) requires algorithm='bcem_pp'")
-    if theta is not None and not 0 < theta <= 0.5:
-        raise ValueError(f"theta must be in (0, 0.5], got {theta}")
+    _check_theta(theta, g_pruned.attrs_v)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta, deadline)
     p0 = order_candidates(g_pruned, g_pruned.adj_v, ordering)
@@ -295,6 +290,7 @@ def expand_root(
     Q-maximality check discards branches the sequential C-absorption would
     have skipped, so the union over i equals the sequential result).
     """
+    _check_theta(theta, g_pruned.attrs_v)
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta)
     expand = {"bcem": _expand_bcem, "nsf": _expand_bcem, "bcem_pp": _expand_bcem_pp}[algorithm]
     kw = {"prune": algorithm != "nsf"} if algorithm in ("bcem", "nsf") else {}

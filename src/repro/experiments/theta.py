@@ -7,8 +7,9 @@ model with delta = 0.
 """
 from __future__ import annotations
 
+from repro.core.bsfbc import search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
-from repro.core.proportion import search_pbsfbc, search_pssfbc
+from repro.core.ssfbc import search_ssfbc
 from repro.experiments.datasets import DATASETS, load
 from repro.experiments.runner import timed
 
@@ -23,10 +24,10 @@ def sweep(dataset: str = "youtube-lite", thetas: list[float] | None = None) -> l
     rows = []
     for theta in thetas or THETAS:
         ps, t_s = timed(
-            lambda: search_pssfbc(gp_s, d.alpha_s, d.beta_s, d.delta, theta)
+            lambda: search_ssfbc(gp_s, d.alpha_s, d.beta_s, d.delta, theta=theta)
         )
         pb, t_b = timed(
-            lambda: search_pbsfbc(gp_b, d.alpha_b, d.beta_b, d.delta, theta)
+            lambda: search_bsfbc(gp_b, d.alpha_b, d.beta_b, d.delta, theta=theta)
         )
         rows.append(
             {

@@ -4,7 +4,6 @@ import pytest
 from repro.core.bsfbc import search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
 from repro.core.distributed import enumerate_collect, enumerate_df
-from repro.core.proportion import search_pbsfbc, search_pssfbc
 from repro.core.ssfbc import search_ssfbc
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
 
@@ -40,11 +39,11 @@ def test_bsfbc_distributed_matches_sequential(spark, g_planted):
 
 def test_proportion_distributed_matches_sequential(spark, g_planted):
     gp = cfcore(g_planted, 2, 2)
-    seq = set(search_pssfbc(gp, 2, 2, 1, 0.4))
+    seq = set(search_ssfbc(gp, 2, 2, 1, theta=0.4))
     dist = enumerate_collect(spark, gp, 2, 2, 1, theta=0.4)
     assert dist == seq
     gb = bcfcore(g_planted, 2, 2)
-    seq_b = set(search_pbsfbc(gb, 2, 2, 1, 0.4))
+    seq_b = set(search_bsfbc(gb, 2, 2, 1, theta=0.4))
     dist_b = enumerate_collect(spark, gb, 2, 2, 1, model="bsfbc", theta=0.4)
     assert dist_b == seq_b
 
@@ -71,3 +70,20 @@ def test_result_schema(spark, g_planted):
 def test_unknown_model_rejected(spark, g_planted):
     with pytest.raises(ValueError):
         enumerate_df(spark, g_planted, 1, 1, 1, model="nope")
+
+
+@pytest.mark.parametrize(
+    "model,theta,attrs",
+    [
+        ("ssfbc", 0.6, {}),
+        ("bsfbc", 0.6, {}),
+        ("ssfbc", 0.3, {"n_attrs_v": 3}),
+        ("bsfbc", 0.3, {"n_attrs_u": 3}),
+    ],
+)
+def test_theta_rejected_on_driver(spark, model, theta, attrs):
+    """A theta out of range, or on a 3-valued domain it applies to, raises
+    ValueError from the driver before any Spark job runs."""
+    g = random_bipartite(6, 6, 0.6, seed=0, **attrs)
+    with pytest.raises(ValueError):
+        enumerate_df(spark, g, 1, 1, 1, model=model, theta=theta)

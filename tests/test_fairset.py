@@ -1,4 +1,4 @@
-"""Fair sets, MFSCheck, Combination(Pro) — vs definition-level oracles."""
+"""Fair sets, MFSCheck, Combination (with and without theta) — vs definition-level oracles."""
 import itertools
 
 import pytest
@@ -7,9 +7,7 @@ from repro.core.fairset import (
     attr_counts,
     brute_maximal_fair_subsets,
     combination,
-    combination_pro,
     is_fair_set,
-    is_proportion_fair_set,
     mfs_check,
 )
 
@@ -60,7 +58,7 @@ def test_is_fair_set(counts, k, delta, expected):
 )
 def test_is_proportion_fair_set(counts, k, delta, theta, expected):
     items, val = _mk(counts)
-    assert is_proportion_fair_set(items, val, DOMAIN, k, delta, theta) is expected
+    assert is_fair_set(items, val, DOMAIN, k, delta, theta) is expected
 
 
 def test_attr_counts_includes_zero_classes():
@@ -106,7 +104,7 @@ def test_combination_pro_matches_bruteforce(c0, c1, k, delta, theta):
     """CombinationPro returns exactly the maximal *proportion* fair subsets."""
     items, val = _mk({0: c0, 1: c1})
     truth = brute_maximal_fair_subsets(items, val, DOMAIN, k, delta, theta)
-    got = set(combination_pro(items, val, DOMAIN, k, delta, theta))
+    got = set(combination(items, val, DOMAIN, k, delta, theta))
     assert got == truth
 
 
@@ -127,9 +125,14 @@ def test_combination_three_attributes(counts, k, delta):
 def test_combination_pro_rejects_bad_theta():
     items, val = _mk({0: 2, 1: 2})
     with pytest.raises(ValueError):
-        combination_pro(items, val, DOMAIN, 1, 1, 0.7)
+        combination(items, val, DOMAIN, 1, 1, 0.7)
     with pytest.raises(ValueError):
-        combination_pro(items, val, DOMAIN, 1, 1, 0.0)
+        combination(items, val, DOMAIN, 1, 1, 0.0)
+    # The theta cap holds only for two classes: on sizes (1, 1, 2) it would
+    # give the full set, whose ratio 1/4 is below theta = 0.3.
+    items, val = _mk({0: 1, 1: 1, 2: 2})
+    with pytest.raises(ValueError):
+        combination(items, val, (0, 1, 2), 1, 1, 0.3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -38,20 +38,25 @@ def naive_fair_core(g: BipartiteGraph, alpha: int, beta: int, bi: bool) -> Bipar
 
 PARAMS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
 
+# Seeds 0-7 draw two attribute values per side; "attrs3" is a denser graph
+# with three values per side, whose cores are not all empty.
+GRAPHS = {str(s): dict(n_u=10, n_v=10, p=0.4, seed=s) for s in range(8)}
+GRAPHS["attrs3"] = dict(n_u=12, n_v=12, p=0.8, n_attrs_u=3, n_attrs_v=3, seed=1)
 
-@pytest.mark.parametrize("seed", range(8))
+
+@pytest.mark.parametrize("graph", GRAPHS)
 @pytest.mark.parametrize("alpha,beta", PARAMS)
-def test_fcore_matches_naive_fixpoint(seed, alpha, beta):
-    g = random_bipartite(10, 10, 0.4, seed=seed)
+def test_fcore_matches_naive_fixpoint(graph, alpha, beta):
+    g = random_bipartite(**GRAPHS[graph])
     got = fcore(g, alpha, beta)
     want = naive_fair_core(g, alpha, beta, bi=False)
     assert (set(got.adj_u), set(got.adj_v)) == (set(want.adj_u), set(want.adj_v))
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("graph", GRAPHS)
 @pytest.mark.parametrize("alpha,beta", PARAMS)
-def test_bfcore_matches_naive_fixpoint(seed, alpha, beta):
-    g = random_bipartite(10, 10, 0.4, seed=seed)
+def test_bfcore_matches_naive_fixpoint(graph, alpha, beta):
+    g = random_bipartite(**GRAPHS[graph])
     got = bfcore(g, alpha, beta)
     want = naive_fair_core(g, alpha, beta, bi=True)
     assert (set(got.adj_u), set(got.adj_v)) == (set(want.adj_u), set(want.adj_v))

@@ -22,6 +22,18 @@ def g_planted():
     )
 
 
+@pytest.fixture(scope="module")
+def g_planted3():
+    """Three attribute values per side; larger blocks keep the cores non-empty."""
+    return planted_bipartite(
+        PlantedSpec(
+            n_u=150, n_v=120, n_background=400, n_blocks=8, block_u=12, block_v=12,
+            n_attrs_u=3, n_attrs_v=3,
+        ),
+        seed=1,
+    )
+
+
 def test_attribute_degree_query_oracle(spark, g_small):
     """The attribute-degree building block of FCore, checked against DuckDB."""
     e_pdf, _u, v_pdf = g_small.to_pandas()
@@ -114,16 +126,18 @@ def test_fcore_edges_rejects_zero_params(spark, g_small):
 
 
 @pytest.mark.parametrize("alpha,beta", [(2, 2), (3, 3)])
-def test_cfcore_spark_matches_local(spark, g_planted, alpha, beta):
-    lo = cfcore(g_planted, alpha, beta)
-    hi = cfcore_spark(spark, g_planted, alpha, beta)
-    assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
+def test_cfcore_spark_matches_local(spark, g_planted, g_planted3, alpha, beta):
+    for g in (g_planted, g_planted3):
+        lo = cfcore(g, alpha, beta)
+        hi = cfcore_spark(spark, g, alpha, beta)
+        assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
 
 
-def test_bcfcore_spark_matches_local(spark, g_planted):
-    lo = bcfcore(g_planted, 2, 2)
-    hi = bcfcore_spark(spark, g_planted, 2, 2)
-    assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
+def test_bcfcore_spark_matches_local(spark, g_planted, g_planted3):
+    for g in (g_planted, g_planted3):
+        lo = bcfcore(g, 2, 2)
+        hi = bcfcore_spark(spark, g, 2, 2)
+        assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
 
 
 def test_fcore_edges_empty_result(spark):
