@@ -63,20 +63,3 @@ def search_bsfbc(
     )
     return expand_to_bsfbc(g_pruned, ssfbcs, alpha, beta, delta, theta)
 
-
-def bfair_bcem(
-    g: BipartiteGraph,
-    alpha: int,
-    beta: int,
-    delta: int,
-    *,
-    algorithm: Algorithm = "bcem_pp",
-    ordering: Ordering = "deg",
-) -> list[Biclique]:
-    """BCFCore pruning + BSFBC search — the end-to-end Algorithm 9 entry point."""
-    from repro.core.cfcore import bcfcore  # local import: avoid cycle at module load
-
-    return search_bsfbc(
-        bcfcore(g, alpha, beta), alpha, beta, delta,
-        algorithm=algorithm, ordering=ordering,
-    )

@@ -7,8 +7,7 @@ colourful β-core peel (Definitions 9/10) → remove pruned fair-side vertices
 ego colourful core on *both* sides before re-running BFCore.
 
 Both pipelines run on one of two backends through one body: fully local
-(used by the enumeration micro-benchmarks, mirroring the paper's
-single-machine setup), or hybrid Spark, in which the peeling and the Σd²
+(mirroring the paper's single-machine setup), or hybrid Spark, in which the peeling and the Σd²
 2-hop construction — the expensive, data-parallel parts — run as DataFrame
 dataflow, while the inherently sequential greedy colouring and ego peel run
 on the collected (already small) 2-hop graph. The U side of BCFCore runs the

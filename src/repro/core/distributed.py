@@ -17,7 +17,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.fairset import _check_theta
-from repro.core.ssfbc import Algorithm, Biclique, Ordering, order_candidates
+from repro.core.ssfbc import Algorithm, Ordering, order_candidates
 from repro.graph.bipartite import BipartiteGraph
 
 _SCHEMA = "l array<long>, r array<long>"
@@ -34,7 +34,6 @@ def enumerate_df(
     algorithm: Algorithm = "bcem_pp",
     ordering: Ordering = "deg",
     theta: float | None = None,
-    n_partitions: int | None = None,
 ) -> DataFrame:
     """Distributed enumeration; returns a DataFrame of (l, r) id-arrays.
 
@@ -48,8 +47,6 @@ def enumerate_df(
     _check_theta(theta, g_pruned.attrs_v, *([g_pruned.attrs_u] if both else []))
     order = order_candidates(g_pruned, g_pruned.adj_v, ordering)
     n = len(order)
-    if n_partitions is None:
-        n_partitions = max(1, min(n, spark.sparkContext.defaultParallelism * 2))
     payload = spark.sparkContext.broadcast(
         (g_pruned, alpha, beta, delta, theta, algorithm, model, order)
     )
@@ -80,18 +77,7 @@ def enumerate_df(
                 }
             )
 
-    roots = spark.range(0, n, 1, numPartitions=max(1, n_partitions))
+    n_partitions = max(1, min(n, 2 * spark.sparkContext.defaultParallelism))
+    roots = spark.range(0, n, 1, numPartitions=n_partitions)
     return roots.mapInPandas(run, schema=_SCHEMA)
 
-
-def enumerate_collect(
-    spark: SparkSession,
-    g_pruned: BipartiteGraph,
-    alpha: int,
-    beta: int,
-    delta: int,
-    **kw,
-) -> set[Biclique]:
-    """Convenience wrapper: run :func:`enumerate_df` and collect to a result set."""
-    rows = enumerate_df(spark, g_pruned, alpha, beta, delta, **kw).collect()
-    return {(frozenset(row.l), frozenset(row.r)) for row in rows}

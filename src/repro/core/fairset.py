@@ -3,8 +3,7 @@
 Implements Definition 11 (fair set), Definition 12 / Algorithm 4
 (``MFSCheck``) and Algorithm 7 (``Combination``). An optional ``theta``
 turns each into its proportion variant (Definition 5, ``CombinationPro`` of
-Sec. III-D). A brute-force maximal-fair-subset enumerator is provided as a
-test oracle.
+Sec. III-D).
 
 Throughout, an "attributed set" is represented as any iterable of vertex
 ids together with a ``val`` mapping and an explicit attribute domain — the
@@ -141,25 +140,3 @@ def combination(
     per_attr = [_subsets_of_size(by_attr[a], min(len(by_attr[a]), cap)) for a in domain]
     return [frozenset().union(*combo) for combo in itertools.product(*per_attr)]
 
-
-def brute_maximal_fair_subsets(
-    s: Iterable[int],
-    val: Mapping[int, Hashable],
-    domain: Sequence[Hashable],
-    k: int,
-    delta: int,
-    theta: float | None = None,
-) -> set[frozenset[int]]:
-    """Definition-level oracle: all subsets that are fair with no fair proper superset."""
-    items = sorted(s)
-    fair_subsets = [
-        frozenset(c)
-        for r in range(len(items) + 1)
-        for c in itertools.combinations(items, r)
-        if is_fair_set(c, val, domain, k, delta, theta)
-    ]
-    return {
-        a
-        for a in fair_subsets
-        if not any(a < b for b in fair_subsets)
-    }

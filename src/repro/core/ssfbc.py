@@ -16,6 +16,7 @@ A result is a pair ``(L, R)`` of frozensets (upper side, lower side).
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -223,14 +224,14 @@ def _expand_bcem_pp(
 
 # ------------------------------------------------------------------ driver loop
 def _backtrack(ctx, L, R, P, Q, expand, **kw) -> None:
-    p = list(P)
+    p = deque(P)
     q = list(Q)
     while p:
         ctx.check_deadline()
-        x = p.pop(0)
+        x = p.popleft()
         consumed = expand(ctx, L, R, p, q, x, **kw)
         if len(consumed) > 1:
-            p = [y for y in p if y not in consumed]
+            p = deque(y for y in p if y not in consumed)
         q.extend(consumed)
 
 
@@ -332,20 +333,3 @@ def enumerate_maximal_bicliques(
         algorithm="bcem_pp", ordering=ordering,
     )
 
-
-def fair_bcem(
-    g: BipartiteGraph,
-    alpha: int,
-    beta: int,
-    delta: int,
-    *,
-    algorithm: Algorithm = "bcem_pp",
-    ordering: Ordering = "deg",
-) -> list[Biclique]:
-    """CFCore pruning + SSFBC search — the end-to-end Algorithm 5/6 entry point."""
-    from repro.core.cfcore import cfcore  # local import: avoid cycle at module load
-
-    return search_ssfbc(
-        cfcore(g, alpha, beta), alpha, beta, delta,
-        algorithm=algorithm, ordering=ordering,
-    )

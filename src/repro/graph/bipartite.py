@@ -77,37 +77,6 @@ class BipartiteGraph:
             attrs_v=av,
         )
 
-    @staticmethod
-    def from_pandas(
-        edges: pd.DataFrame,
-        u_attrs: pd.DataFrame,
-        v_attrs: pd.DataFrame,
-        attrs_u: Iterable[int] | None = None,
-        attrs_v: Iterable[int] | None = None,
-    ) -> "BipartiteGraph":
-        """Build from the canonical three-frame layout (``u,v`` / ``u,val`` / ``v,val``)."""
-        return BipartiteGraph.from_edges(
-            list(zip(edges["u"].tolist(), edges["v"].tolist())),
-            dict(zip(u_attrs["u"].tolist(), u_attrs["val"].tolist())),
-            dict(zip(v_attrs["v"].tolist(), v_attrs["val"].tolist())),
-            attrs_u=attrs_u,
-            attrs_v=attrs_v,
-        )
-
-    @staticmethod
-    def from_spark(
-        edges: DataFrame,
-        u_attrs: DataFrame,
-        v_attrs: DataFrame,
-        attrs_u: Iterable[int] | None = None,
-        attrs_v: Iterable[int] | None = None,
-    ) -> "BipartiteGraph":
-        """Collect the DataFrame representation into a local graph."""
-        return BipartiteGraph.from_pandas(
-            edges.toPandas(), u_attrs.toPandas(), v_attrs.toPandas(),
-            attrs_u=attrs_u, attrs_v=attrs_v,
-        )
-
     # -------------------------------------------------------------- export
     def to_pandas(self) -> tuple[pd.DataFrame, pd.DataFrame, pd.DataFrame]:
         """Return ``(edges, u_attrs, v_attrs)`` pandas frames (sorted, deterministic)."""
@@ -149,12 +118,6 @@ class BipartiteGraph:
         """|E| / (|U| * |V|) — the bipartite edge density reported in Table I."""
         denom = self.n_u * self.n_v
         return self.n_edges / denom if denom else 0.0
-
-    def degree_u(self, u: int) -> int:
-        return len(self.adj_u[u])
-
-    def degree_v(self, v: int) -> int:
-        return len(self.adj_v[v])
 
     def common_neighbors_of_vs(self, vs: Iterable[int]) -> frozenset[int]:
         """``N(S)`` for a lower-side set S: upper vertices adjacent to *all* of S."""
@@ -200,8 +163,3 @@ class BipartiteGraph:
             attrs_u=self.attrs_v,
             attrs_v=self.attrs_u,
         )
-
-    def is_biclique(self, us: Iterable[int], vs: Iterable[int]) -> bool:
-        """True iff every (u, v) pair across the two sets is an edge."""
-        vs = set(vs)
-        return all(vs <= self.adj_u[u] for u in us)

@@ -1,5 +1,7 @@
-"""Definition-level brute-force enumerators — test oracles only.
+"""Test oracles: definition-level brute force and the DuckDB equivalence check.
 
+Brute-force enumerators
+-----------------------
 These enumerate fair bicliques straight from Definitions 3-6 by exhausting
 vertex subsets, with no pruning and no search-order cleverness. They are
 exponential and intended for graphs with at most ~10 vertices per side.
@@ -13,14 +15,61 @@ Maximality handling:
 - BSFBC/PBSFBC: generate *all* pairs satisfying conditions (1)-(2)
   ((1)-(3) for Pro) and drop every pair strictly contained in another, which
   is literally Definition 4's maximality clause.
+
+DuckDB oracle
+-------------
+``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
+over ``tables`` and asserts the sorted rows match ``spark_df`` (the
+Spark result). This catches wrong results from a rewritten plan or a
+custom operator — "it ran" is not "it is correct".
+
+``tables`` may be Spark or pandas DataFrames; Spark inputs are
+collected via ``.toPandas()``. Alias every output column identically
+on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
+``count_star()``) and project to scalar columns — array/map/struct
+columns are not orderable so cannot be compared here.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Hashable, Iterable, Mapping, Sequence
+
+import duckdb
+import pandas as pd
+from pyspark.sql import DataFrame
 
 from repro.core.fairset import is_fair_set
 from repro.core.ssfbc import Biclique
 from repro.graph.bipartite import BipartiteGraph
+
+
+def is_biclique(g: BipartiteGraph, us: Iterable[int], vs: Iterable[int]) -> bool:
+    """True iff every (u, v) pair across the two sets is an edge of ``g``."""
+    vs = set(vs)
+    return all(vs <= g.adj_u[u] for u in us)
+
+
+def brute_maximal_fair_subsets(
+    s: Iterable[int],
+    val: Mapping[int, Hashable],
+    domain: Sequence[Hashable],
+    k: int,
+    delta: int,
+    theta: float | None = None,
+) -> set[frozenset[int]]:
+    """Definition-level oracle: all subsets that are fair with no fair proper superset."""
+    items = sorted(s)
+    fair_subsets = [
+        frozenset(c)
+        for r in range(len(items) + 1)
+        for c in itertools.combinations(items, r)
+        if is_fair_set(c, val, domain, k, delta, theta)
+    ]
+    return {
+        a
+        for a in fair_subsets
+        if not any(a < b for b in fair_subsets)
+    }
 
 
 def brute_ssfbc(
@@ -97,3 +146,30 @@ def brute_maximal_bicliques(
         for s, l in cands.items()
         if len(l) >= min_l and len(s) >= min_r
     }
+
+
+def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
+    # Canonical column order first, then row order by those columns, so
+    # two results that differ only in projection order compare equal.
+    pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
+    for c in pdf.select_dtypes(include=["float", "float64"]).columns:
+        pdf[c] = pdf[c].round(6)
+    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
+
+
+def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+    con = duckdb.connect()
+    try:
+        for name, t in tables.items():
+            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+        expected = con.execute(sql).fetchdf()
+    finally:
+        con.close()
+    got = spark_df.toPandas()
+    assert set(expected.columns) == set(got.columns), (
+        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
+        "— alias every output column identically on both sides"
+    )
+    pd.testing.assert_frame_equal(
+        _canon(got), _canon(expected), check_dtype=False
+    )

@@ -1,8 +1,8 @@
 """Sanity checks of the brute-force oracles themselves on hand-built graphs."""
 import pytest
 
-from repro.core.bruteforce import brute_bsfbc, brute_maximal_bicliques, brute_ssfbc
 from repro.graph.bipartite import BipartiteGraph
+from tests.oracles import brute_bsfbc, brute_maximal_bicliques, brute_ssfbc
 
 
 def complete_graph(nu, nv, u_vals, v_vals):

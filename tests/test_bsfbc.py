@@ -1,12 +1,12 @@
 """BSFBC enumeration vs brute force; Observation 6; structural validity."""
 import pytest
 
-from repro.core.bruteforce import brute_bsfbc, brute_ssfbc
-from repro.core.bsfbc import bfair_bcem, search_bsfbc
+from repro.core.bsfbc import search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
 from repro.core.fairset import is_fair_set
 from repro.core.ssfbc import search_ssfbc
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
+from tests.oracles import brute_bsfbc, brute_ssfbc, is_biclique
 
 PARAM_GRID = [(1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2), (1, 1, 0)]
 
@@ -66,7 +66,7 @@ def test_results_are_valid_bsfbcs(seed):
     alpha, beta, delta = 2, 2, 1
     gp = bcfcore(g, alpha, beta)
     for l, r in search_bsfbc(gp, alpha, beta, delta):
-        assert gp.is_biclique(l, r)
+        assert is_biclique(gp, l, r)
         assert is_fair_set(l, gp.u_val, gp.attrs_u, alpha, delta)
         assert is_fair_set(r, gp.v_val, gp.attrs_v, beta, delta)
 
@@ -87,5 +87,6 @@ def test_bsfbc_upper_sides_are_fair_subsets_of_ssfbc_l(seed):
 
 def test_bfair_bcem_end_to_end():
     g = random_bipartite(7, 7, 0.55, seed=9)
-    assert set(bfair_bcem(g, 1, 1, 1)) == brute_bsfbc(g, 1, 1, 1)
-    assert set(bfair_bcem(g, 1, 1, 1, algorithm="bcem")) == brute_bsfbc(g, 1, 1, 1)
+    gp = bcfcore(g, 1, 1)
+    assert set(search_bsfbc(gp, 1, 1, 1)) == brute_bsfbc(g, 1, 1, 1)
+    assert set(search_bsfbc(gp, 1, 1, 1, algorithm="bcem")) == brute_bsfbc(g, 1, 1, 1)

@@ -1,12 +1,12 @@
 """CFCore / BCFCore pruning: ego colourful cores and the safety lemmas."""
 import pytest
 
-from repro.core.bruteforce import brute_bsfbc, brute_ssfbc
 from repro.core.cfcore import bcfcore, cfcore, ego_colorful_core
 from repro.core.coloring import greedy_color
 from repro.core.fcore import bfcore, fcore
 from repro.core.twohop import two_hop
 from repro.graph.generators import random_bipartite
+from tests.oracles import brute_bsfbc, brute_ssfbc
 
 
 def _h(seed, p=0.4, n=12):

@@ -3,9 +3,15 @@ import pytest
 
 from repro.core.bsfbc import search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
-from repro.core.distributed import enumerate_collect, enumerate_df
+from repro.core.distributed import enumerate_df
 from repro.core.ssfbc import search_ssfbc
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
+
+
+def enumerate_collect(spark, g_pruned, alpha, beta, delta, **kw):
+    """Run :func:`enumerate_df` and collect its rows to a set of (L, R) pairs."""
+    rows = enumerate_df(spark, g_pruned, alpha, beta, delta, **kw).collect()
+    return {(frozenset(row.l), frozenset(row.r)) for row in rows}
 
 
 @pytest.fixture(scope="module")

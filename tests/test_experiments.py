@@ -4,8 +4,8 @@ import pytest
 from repro.experiments import counts, pruning, scalability, sweeps, table1, table2, theta
 from repro.experiments.datasets import DATASETS, load
 from repro.experiments.runner import format_table
-from repro.oracle import assert_equivalent
 from pyspark.sql import functions as F
+from tests.oracles import assert_equivalent
 
 
 def test_registry_has_all_five_datasets():
@@ -58,9 +58,16 @@ def test_table1_stats_with_spark_and_oracle(spark):
 
 
 def test_table2_cell_runs_and_orders():
-    cell = table2.run_cell("youtube-lite", "FairBCEM++", "ssfbc", "bcem_pp", "deg")
-    assert cell["n_results"] > 0
-    assert cell["total_s"] >= cell["search_s"]
+    """Every Table II cell (each algorithm under IDOrd and DegOrd) finds
+    results, and all cells of one model find the same number."""
+    n_by_model: dict[str, set[int]] = {}
+    for display, model, engine in table2.ALGORITHMS:
+        for _, ordering in table2.ORDERINGS:
+            cell = table2.run_cell("youtube-lite", display, model, engine, ordering)
+            assert cell["n_results"] > 0
+            assert cell["total_s"] >= cell["search_s"]
+            n_by_model.setdefault(model, set()).add(cell["n_results"])
+    assert all(len(ns) == 1 for ns in n_by_model.values()), n_by_model
 
 
 def test_table2_pp_not_slower_than_base():
@@ -75,7 +82,7 @@ def test_pruning_sweep_shape():
     rows = pruning.sweep("youtube-lite")
     for r in rows:
         # CFCore prunes at least as much as FCore; both prune vs original.
-        assert r["n_cfcore"] <= r["n_fcore"] <= r["n_original"]
+        assert r["n_cfcore"] <= r["n_fcore"] < r["n_original"]
     # remaining vertices shrink as alpha grows
     alpha_rows = [r for r in rows if r["varied"] == "alpha"]
     sizes = [r["n_cfcore"] for r in alpha_rows]
@@ -85,7 +92,7 @@ def test_pruning_sweep_shape():
 def test_pruning_sweep_bi_shape():
     rows = pruning.sweep("youtube-lite", bi=True)
     for r in rows:
-        assert r["n_cfcore"] <= r["n_fcore"] <= r["n_original"]
+        assert r["n_cfcore"] <= r["n_fcore"] < r["n_original"]
 
 
 def test_counts_sweep_shape():
@@ -126,7 +133,20 @@ def test_scalability_edge_sample():
 
 
 def test_format_table():
-    out = format_table([{"a": 1, "b": "x"}, {"a": 22, "b": "yy"}], ["a", "b"])
+    out = format_table([{"a": 1, "b": "x"}, {"a": 22, "b": "yy"}])
     lines = out.splitlines()
-    assert lines[0].startswith("a")
+    assert lines[0].split() == ["a", "b"]
     assert len(lines) == 4
+
+
+def test_run_entrypoint(capsys):
+    """``jobs/run.py`` prints the rows' keys as its header, and rejects an
+    unknown experiment name."""
+    from jobs.run import main
+
+    rows = main("exp7", "youtube-lite")
+    lines = capsys.readouterr().out.splitlines()
+    assert rows and lines[0].split() == list(rows[0])
+    assert len(lines) == len(rows) + 2
+    with pytest.raises(KeyError):
+        main("exp9")

@@ -3,13 +3,8 @@ import itertools
 
 import pytest
 
-from repro.core.fairset import (
-    attr_counts,
-    brute_maximal_fair_subsets,
-    combination,
-    is_fair_set,
-    mfs_check,
-)
+from repro.core.fairset import attr_counts, combination, is_fair_set, mfs_check
+from tests.oracles import brute_maximal_fair_subsets
 
 
 def _mk(counts):

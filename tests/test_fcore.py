@@ -1,10 +1,10 @@
 """FCore / BFCore peeling vs a naive fixpoint and the containment lemmas."""
 import pytest
 
-from repro.core.bruteforce import brute_bsfbc, brute_ssfbc
 from repro.core.fcore import bfcore, fcore
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
+from tests.oracles import brute_bsfbc, brute_ssfbc
 
 
 def naive_fair_core(g: BipartiteGraph, alpha: int, beta: int, bi: bool) -> BipartiteGraph:

@@ -1,11 +1,11 @@
 """Proportion models (PSSFBC / PBSFBC) vs brute force and degeneracy claims."""
 import pytest
 
-from repro.core.bruteforce import brute_bsfbc, brute_ssfbc
 from repro.core.bsfbc import expand_to_bsfbc, search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
 from repro.core.ssfbc import expand_root, order_candidates, search_ssfbc
 from repro.graph.generators import random_bipartite
+from tests.oracles import brute_bsfbc, brute_ssfbc
 
 THETA_GRID = [(1, 1, 1, 0.4), (1, 2, 2, 0.3), (2, 2, 2, 0.45), (1, 1, 2, 0.5), (2, 1, 1, 0.25)]
 
@@ -41,18 +41,17 @@ def test_theta_half_degenerates_to_delta_zero(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_theta_monotone_counts(seed):
-    """Smaller theta is a weaker constraint: every theta=0.45 result is
-    maximal for theta=0.45 but the *satisfying* sets grow as theta drops —
-    check via the algorithms that counts do not explode incoherently."""
+    """Smaller theta is a weaker constraint. Both result sets match brute
+    force, and every theta=0.5 result lies inside some theta=0.2 result: a
+    pair that passes theta=0.5 passes theta=0.2, so a maximal one contains it."""
     g = random_bipartite(7, 7, 0.6, seed=seed)
     gp = cfcore(g, 1, 1)
     lo = set(search_ssfbc(gp, 1, 1, 2, theta=0.2))
     hi = set(search_ssfbc(gp, 1, 1, 2, theta=0.5))
-    # Every theta=0.5-result is proportion-fair for theta=0.2 as well;
-    # maximality may differ, so just check both are valid & nonempty-ish.
-    for _, r in hi:
-        assert len(r) >= 2 or not lo
-    assert isinstance(lo, set) and isinstance(hi, set)
+    assert lo == brute_ssfbc(g, 1, 1, 2, 0.2)
+    assert hi == brute_ssfbc(g, 1, 1, 2, 0.5)
+    for l, r in hi:
+        assert any(l <= l2 and r <= r2 for l2, r2 in lo)
 
 
 def test_end_to_end_wrappers():

@@ -6,7 +6,7 @@ from repro.core.cfcore import bcfcore, bcfcore_spark, cfcore, cfcore_spark
 from repro.core.fcore import bfcore, fcore
 from repro.core.fcore_df import bfcore_edges, fcore_edges
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
-from repro.oracle import assert_equivalent
+from tests.oracles import assert_equivalent
 
 
 @pytest.fixture(scope="module")

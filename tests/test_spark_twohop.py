@@ -3,7 +3,7 @@ import pytest
 
 from repro.core.twohop import bi_two_hop, bi_two_hop_edges_df, two_hop, two_hop_edges_df
 from repro.graph.generators import random_bipartite
-from repro.oracle import assert_equivalent
+from tests.oracles import assert_equivalent
 
 
 @pytest.fixture(scope="module")
