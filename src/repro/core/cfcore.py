@@ -6,12 +6,13 @@ colourful β-core peel (Definitions 9/10) → remove pruned fair-side vertices
 → FCore again. The bi-side variant applies the bi-2-hop construction and an
 ego colourful core on *both* sides before re-running BFCore.
 
-Both pipelines run on one of two backends through one body: fully local
-(mirroring the paper's single-machine setup), or hybrid Spark, in which the peeling and the Σd²
-2-hop construction — the expensive, data-parallel parts — run as DataFrame
-dataflow, while the inherently sequential greedy colouring and ego peel run
-on the collected (already small) 2-hop graph. The U side of BCFCore runs the
-V-side machinery on ``g.mirror()`` on either backend.
+Both pipelines run through one body, :func:`_prune`, on the peeled graph.
+The backends differ only in the first peel: local queue peel, or (hybrid
+Spark) the DataFrame fixpoint of :mod:`repro.core.fcore_df`, collected to
+the driver. Every later step — 2-hop, colouring, ego peel and re-peel —
+runs locally on that collected core; the re-peel is exact because fair
+cores are confluent closures. The U side of BCFCore runs the V-side
+machinery on ``g.mirror()``.
 """
 from __future__ import annotations
 
@@ -23,14 +24,9 @@ from pyspark.sql import SparkSession
 from repro.core.coloring import greedy_color
 from repro.core.fcore import bfcore, fcore
 from repro.core.fcore_df import bfcore_edges, fcore_edges
-from repro.core.twohop import (
-    Adjacency,
-    adjacency_from_pairs,
-    bi_two_hop,
-    bi_two_hop_edges_df,
-    two_hop,
-    two_hop_edges_df,
-)
+from repro.core.twohop import Adjacency, bi_two_hop, two_hop
+# Imported only so the benchmark tracer can resolve it on this module.
+from repro.core.twohop import adjacency_from_pairs  # noqa: F401
 from repro.graph.bipartite import BipartiteGraph
 
 
@@ -92,12 +88,10 @@ def _prune_two_hop_side(
     return ego_colorful_core(sub, val, domain, color, k)
 
 
-def _peel(
-    g: BipartiteGraph, alpha: int, beta: int, bi: bool, spark: SparkSession | None
+def _peel_df(
+    spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int, bi: bool
 ) -> BipartiteGraph:
-    """FCore (BFCore if ``bi``): local queue peel, or collected DataFrame fixpoint."""
-    if spark is None:
-        return bfcore(g, alpha, beta) if bi else fcore(g, alpha, beta)
+    """FCore (BFCore if ``bi``) as a DataFrame fixpoint, collected to the driver."""
     edges, u_attrs, v_attrs = g.to_spark(spark)
     n_au, n_av = len(g.attrs_u), len(g.attrs_v)
     if bi:
@@ -108,60 +102,38 @@ def _peel(
     return g.induced(set(pdf["u"].tolist()), set(pdf["v"].tolist()))
 
 
-def _two_hop(
-    g: BipartiteGraph, k: int, bi: bool, spark: SparkSession | None
-) -> Adjacency:
-    """(Bi-)2-hop adjacency over ``g``'s V side: local Σd², or DataFrame self-join."""
-    if spark is None:
-        return bi_two_hop(g, k) if bi else two_hop(g, k)
-    edges, u_attrs, _v_attrs = g.to_spark(spark)
-    if bi:
-        pairs = bi_two_hop_edges_df(edges, u_attrs, k, len(g.attrs_u)).toPandas()
-    else:
-        pairs = two_hop_edges_df(edges, k).toPandas()
-    return adjacency_from_pairs(
-        list(zip(pairs["v1"].tolist(), pairs["v2"].tolist())), sorted(g.adj_v)
-    )
-
-
-def _prune(
-    g: BipartiteGraph, alpha: int, beta: int, bi: bool, spark: SparkSession | None
-) -> BipartiteGraph:
-    """CFCore (BCFCore if ``bi``); only the peel and the 2-hop step see ``spark``."""
-    g1 = _peel(g, alpha, beta, bi, spark)
+def _prune(g1: BipartiteGraph, alpha: int, beta: int, bi: bool) -> BipartiteGraph:
+    """CFCore (BCFCore if ``bi``) from the (bi-)fair core ``g1`` onward."""
     if g1.n_edges == 0:
         return g1
-    keep_v = _prune_two_hop_side(
-        _two_hop(g1, alpha, bi, spark), g1.v_val, g.attrs_v, beta
-    )
+    build, peel = (bi_two_hop, bfcore) if bi else (two_hop, fcore)
+    keep_v = _prune_two_hop_side(build(g1, alpha), g1.v_val, g1.attrs_v, beta)
     keep_u = g1.adj_u.keys()
     if bi:
-        keep_u = _prune_two_hop_side(
-            _two_hop(g1.mirror(), beta, bi, spark), g1.u_val, g.attrs_u, alpha
-        )
+        keep_u = _prune_two_hop_side(build(g1.mirror(), beta), g1.u_val, g1.attrs_u, alpha)
     g2 = g1.induced(keep_u, keep_v)
-    return _peel(g2, alpha, beta, bi, spark) if g2.n_edges else g2
+    return peel(g2, alpha, beta) if g2.n_edges else g2
 
 
 def cfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
     """Algorithm 2, fully local. Contains every SSFBC of ``g`` (Lemmas 1-2)."""
-    return _prune(g, alpha, beta, False, None)
+    return _prune(fcore(g, alpha, beta), alpha, beta, False)
 
 
 def bcfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
     """Bi-side colorful pruning. Contains every BSFBC of ``g`` (Lemma 3 + Sec. IV-A)."""
-    return _prune(g, alpha, beta, True, None)
+    return _prune(bfcore(g, alpha, beta), alpha, beta, True)
 
 
 def cfcore_spark(
     spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
 ) -> BipartiteGraph:
-    """Hybrid Algorithm 2: DF peel + DF 2-hop, local colouring/ego peel, DF re-peel."""
-    return _prune(g, alpha, beta, False, spark)
+    """Hybrid Algorithm 2: DF peel, then local 2-hop/colour/ego/re-peel."""
+    return _prune(_peel_df(spark, g, alpha, beta, False), alpha, beta, False)
 
 
 def bcfcore_spark(
     spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
 ) -> BipartiteGraph:
-    """Hybrid BCFCore: DF bi-peel + DF bi-2-hop on both sides, local ego peels."""
-    return _prune(g, alpha, beta, True, spark)
+    """Hybrid BCFCore: DF bi-peel, then local bi-2-hop/colour/ego/re-peel."""
+    return _prune(_peel_df(spark, g, alpha, beta, True), alpha, beta, True)

@@ -174,8 +174,6 @@ def _expand_bcem_pp(
     P: Sequence[int],
     Q: Sequence[int],
     x: int,
-    *,
-    prune: bool = True,
 ) -> set[int]:
     """One iteration of Algorithm 6's while-loop body (iMBEA + Combination).
 
@@ -223,6 +221,23 @@ def _expand_bcem_pp(
 
 
 # ------------------------------------------------------------------ driver loop
+# algorithm -> (expand step, its keyword arguments)
+_ENGINES = {
+    "bcem": (_expand_bcem, {"prune": True}),
+    "nsf": (_expand_bcem, {"prune": False}),
+    "bcem_pp": (_expand_bcem_pp, {}),
+}
+
+
+def _engine(algorithm: str, theta: float | None):
+    """The expand step of ``algorithm``; ``theta`` (the Pro model) needs ``bcem_pp``."""
+    if algorithm not in _ENGINES:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if theta is not None and algorithm != "bcem_pp":
+        raise ValueError("theta (Pro model) requires algorithm='bcem_pp'")
+    return _ENGINES[algorithm]
+
+
 def _backtrack(ctx, L, R, P, Q, expand, **kw) -> None:
     p = deque(P)
     q = list(Q)
@@ -256,20 +271,12 @@ def search_ssfbc(
     ``time_budget_s`` the search raises :class:`SearchTimeout` once the
     budget elapses (the paper's 24h "INF" convention, scaled).
     """
-    if theta is not None and algorithm != "bcem_pp":
-        raise ValueError("theta (Pro model) requires algorithm='bcem_pp'")
+    expand, kw = _engine(algorithm, theta)
     _check_theta(theta, g_pruned.attrs_v)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta, deadline)
     p0 = order_candidates(g_pruned, g_pruned.adj_v, ordering)
-    if algorithm == "bcem":
-        _backtrack(ctx, frozenset(g_pruned.adj_u), frozenset(), p0, [], _expand_bcem, prune=True)
-    elif algorithm == "nsf":
-        _backtrack(ctx, frozenset(g_pruned.adj_u), frozenset(), p0, [], _expand_bcem, prune=False)
-    elif algorithm == "bcem_pp":
-        _backtrack(ctx, frozenset(g_pruned.adj_u), frozenset(), p0, [], _expand_bcem_pp)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _backtrack(ctx, frozenset(g_pruned.adj_u), frozenset(), p0, [], expand, **kw)
     return ctx.res
 
 
@@ -291,10 +298,9 @@ def expand_root(
     Q-maximality check discards branches the sequential C-absorption would
     have skipped, so the union over i equals the sequential result).
     """
+    expand, kw = _engine(algorithm, theta)
     _check_theta(theta, g_pruned.attrs_v)
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta)
-    expand = {"bcem": _expand_bcem, "nsf": _expand_bcem, "bcem_pp": _expand_bcem_pp}[algorithm]
-    kw = {"prune": algorithm != "nsf"} if algorithm in ("bcem", "nsf") else {}
     expand(
         ctx,
         frozenset(g_pruned.adj_u),

@@ -3,20 +3,17 @@
 ``Construct2HopGraph`` connects two fair-side vertices iff they share at
 least ``alpha`` common neighbours; the bi-side variant
 (``BiConstruct2HopGraph``) requires at least ``alpha`` common neighbours *of
-every upper-side attribute value*. Both a local Σd² implementation and the
-distributed self-join DataFrame formulation are provided; the DataFrame
-versions are row-for-row checked against DuckDB SQL in the tests.
+every upper-side attribute value*. Both count common neighbours of every
+fair-side pair in one Σd² pass over the upper side.
 
-The local functions take the fair side as the lower side ``V``; to build
-the upper-side 2-hop graph used by BCFCore, pass ``g.mirror()``.
+The functions take the fair side as the lower side ``V``; to build the
+upper-side 2-hop graph used by BCFCore, pass ``g.mirror()``.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from typing import Iterable
 
 from repro.graph.bipartite import BipartiteGraph
 
@@ -29,12 +26,7 @@ def two_hop(g: BipartiteGraph, alpha: int) -> Adjacency:
     for nbrs in g.adj_u.values():
         for a, b in itertools.combinations(sorted(nbrs), 2):
             common[(a, b)] += 1
-    adj: Adjacency = {v: set() for v in g.adj_v}
-    for (a, b), c in common.items():
-        if c >= alpha:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
+    return adjacency_from_pairs([p for p, c in common.items() if c >= alpha], g.adj_v)
 
 
 def bi_two_hop(g: BipartiteGraph, alpha: int) -> Adjacency:
@@ -44,55 +36,12 @@ def bi_two_hop(g: BipartiteGraph, alpha: int) -> Adjacency:
         a_u = g.u_val[u]
         for a, b in itertools.combinations(sorted(nbrs), 2):
             common[(a, b)][a_u] += 1
-    adj: Adjacency = {v: set() for v in g.adj_v}
-    for (a, b), cnt in common.items():
-        if all(cnt.get(x, 0) >= alpha for x in g.attrs_u):
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
-def two_hop_edges_df(edges: DataFrame, alpha: int) -> DataFrame:
-    """Distributed Algorithm 3: returns ``(v1, v2)`` with ``v1 < v2``.
-
-    A self-join of the edge list on the shared upper endpoint counts common
-    neighbours of every lower-side pair; the ``v1 < v2`` predicate emits each
-    undirected 2-hop edge once.
-    """
-    e1 = edges.select(F.col("u"), F.col("v").alias("v1"))
-    e2 = edges.select(F.col("u"), F.col("v").alias("v2"))
-    return (
-        e1.join(e2, "u")
-        .where(F.col("v1") < F.col("v2"))
-        .groupBy("v1", "v2")
-        .agg(F.count("*").alias("cn"))
-        .where(F.col("cn") >= alpha)
-        .select("v1", "v2")
-    )
-
-
-def bi_two_hop_edges_df(
-    edges: DataFrame, u_attrs: DataFrame, alpha: int, n_attrs_u: int
-) -> DataFrame:
-    """Distributed Algorithm 8: pairs with >= alpha common neighbours per A(U) value."""
-    ea = edges.join(u_attrs, "u")
-    e1 = ea.select("u", F.col("val"), F.col("v").alias("v1"))
-    e2 = ea.select("u", F.col("v").alias("v2"))
-    return (
-        e1.join(e2, "u")
-        .where(F.col("v1") < F.col("v2"))
-        .groupBy("v1", "v2", "val")
-        .agg(F.count("*").alias("cn"))
-        .where(F.col("cn") >= alpha)
-        .groupBy("v1", "v2")
-        .agg(F.count("*").alias("nvals"))
-        .where(F.col("nvals") >= n_attrs_u)
-        .select("v1", "v2")
-    )
+    ok = [p for p, cnt in common.items() if all(cnt[x] >= alpha for x in g.attrs_u)]
+    return adjacency_from_pairs(ok, g.adj_v)
 
 
 def adjacency_from_pairs(
-    pairs: list[tuple[int, int]], vertices: list[int]
+    pairs: Iterable[tuple[int, int]], vertices: Iterable[int]
 ) -> Adjacency:
     """Build an undirected adjacency dict from (v1, v2) pairs over ``vertices``."""
     adj: Adjacency = {v: set() for v in vertices}

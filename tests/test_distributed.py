@@ -79,17 +79,20 @@ def test_unknown_model_rejected(spark, g_planted):
 
 
 @pytest.mark.parametrize(
-    "model,theta,attrs",
+    "model,theta,attrs,algorithm",
     [
-        ("ssfbc", 0.6, {}),
-        ("bsfbc", 0.6, {}),
-        ("ssfbc", 0.3, {"n_attrs_v": 3}),
-        ("bsfbc", 0.3, {"n_attrs_u": 3}),
+        ("ssfbc", 0.6, {}, "bcem_pp"),
+        ("bsfbc", 0.6, {}, "bcem_pp"),
+        ("ssfbc", 0.3, {"n_attrs_v": 3}, "bcem_pp"),
+        ("bsfbc", 0.3, {"n_attrs_u": 3}, "bcem_pp"),
+        ("ssfbc", 0.3, {}, "bcem"),
     ],
+    ids=["ssfbc-0.6-attrs0", "bsfbc-0.6-attrs1", "ssfbc-0.3-attrs2", "bsfbc-0.3-attrs3", "ssfbc-0.3-bcem"],
 )
-def test_theta_rejected_on_driver(spark, model, theta, attrs):
-    """A theta out of range, or on a 3-valued domain it applies to, raises
-    ValueError from the driver before any Spark job runs."""
+def test_theta_rejected_on_driver(spark, model, theta, attrs, algorithm):
+    """A theta out of range, on a 3-valued domain it applies to, or with an
+    engine other than bcem_pp raises ValueError from the driver before any
+    Spark job runs."""
     g = random_bipartite(6, 6, 0.6, seed=0, **attrs)
     with pytest.raises(ValueError):
-        enumerate_df(spark, g, 1, 1, 1, model=model, theta=theta)
+        enumerate_df(spark, g, 1, 1, 1, model=model, algorithm=algorithm, theta=theta)

@@ -59,15 +59,19 @@ def test_table1_stats_with_spark_and_oracle(spark):
 
 def test_table2_cell_runs_and_orders():
     """Every Table II cell (each algorithm under IDOrd and DegOrd) finds
-    results, and all cells of one model find the same number."""
+    results, and all cells of one model find the same number and report the
+    same (shared) prune time."""
     n_by_model: dict[str, set[int]] = {}
+    prune_by_model: dict[str, set[float]] = {}
     for display, model, engine in table2.ALGORITHMS:
         for _, ordering in table2.ORDERINGS:
             cell = table2.run_cell("youtube-lite", display, model, engine, ordering)
             assert cell["n_results"] > 0
             assert cell["total_s"] >= cell["search_s"]
             n_by_model.setdefault(model, set()).add(cell["n_results"])
+            prune_by_model.setdefault(model, set()).add(cell["prune_s"])
     assert all(len(ns) == 1 for ns in n_by_model.values()), n_by_model
+    assert all(len(ps) == 1 for ps in prune_by_model.values()), prune_by_model
 
 
 def test_table2_pp_not_slower_than_base():

@@ -5,6 +5,7 @@ from pyspark.sql import functions as F
 from repro.core.cfcore import bcfcore, bcfcore_spark, cfcore, cfcore_spark
 from repro.core.fcore import bfcore, fcore
 from repro.core.fcore_df import bfcore_edges, fcore_edges
+from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
 from tests.oracles import assert_equivalent
 
@@ -125,18 +126,37 @@ def test_fcore_edges_rejects_zero_params(spark, g_small):
         fcore_edges(edges, v_attrs, 0, 1, 2)
 
 
+@pytest.fixture
+def to_spark_calls(monkeypatch):
+    """Counts ``BipartiteGraph.to_spark`` calls; the list holds one entry per call."""
+    calls = []
+    real = BipartiteGraph.to_spark
+
+    def counting(self, spark):
+        calls.append(self)
+        return real(self, spark)
+
+    monkeypatch.setattr(BipartiteGraph, "to_spark", counting)
+    return calls
+
+
 @pytest.mark.parametrize("alpha,beta", [(2, 2), (3, 3)])
-def test_cfcore_spark_matches_local(spark, g_planted, g_planted3, alpha, beta):
+def test_cfcore_spark_matches_local(spark, g_planted, g_planted3, alpha, beta, to_spark_calls):
+    """Same core as the local pipeline; only the first peel converts to Spark."""
     for g in (g_planted, g_planted3):
         lo = cfcore(g, alpha, beta)
+        to_spark_calls.clear()
         hi = cfcore_spark(spark, g, alpha, beta)
+        assert len(to_spark_calls) == 1
         assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
 
 
-def test_bcfcore_spark_matches_local(spark, g_planted, g_planted3):
+def test_bcfcore_spark_matches_local(spark, g_planted, g_planted3, to_spark_calls):
     for g in (g_planted, g_planted3):
         lo = bcfcore(g, 2, 2)
+        to_spark_calls.clear()
         hi = bcfcore_spark(spark, g, 2, 2)
+        assert len(to_spark_calls) == 1
         assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
 
 

@@ -6,6 +6,7 @@ from repro.core.fairset import is_fair_set
 from repro.core.ssfbc import (
     SearchTimeout,
     enumerate_maximal_bicliques,
+    expand_root,
     order_candidates,
     search_ssfbc,
 )
@@ -112,6 +113,8 @@ def test_unknown_algorithm_rejected():
     g = random_bipartite(4, 4, 0.5, seed=0)
     with pytest.raises(ValueError):
         search_ssfbc(g, 1, 1, 1, algorithm="bogus")
+    with pytest.raises(ValueError):
+        expand_root(g, 1, 1, 1, sorted(g.adj_v), 0, algorithm="bogus")
 
 
 def test_theta_requires_pp():
