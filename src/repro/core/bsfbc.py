@@ -5,12 +5,15 @@ precisely, a BSFBC's lower side *is* the full R of some SSFBC — so the
 algorithms first enumerate all SSFBCs (with FairBCEM, FairBCEM++ or NSF
 respectively) and then expand each upper side ``L'`` into its maximal fair
 subsets with ``Combination``, keeping pairs ``(l', R')`` where ``R'`` is a
-maximal fair subset of ``N(l')`` (Algorithm 4).
+maximal fair subset of ``N(l')`` (Algorithm 4), once per distinct upper
+side and count vector of ``N(l')`` (see :func:`expand_to_bsfbc`).
 """
 from __future__ import annotations
 
-from repro.core.fairset import _check_theta, combination, mfs_check
-from repro.core.ssfbc import Algorithm, Biclique, Ordering, search_ssfbc
+import time
+
+from repro.core.fairset import _check_theta, attr_counts, combination, mfs_check
+from repro.core.ssfbc import Algorithm, Biclique, Ordering, SearchTimeout, search_ssfbc
 from repro.graph.bipartite import BipartiteGraph
 
 
@@ -21,19 +24,36 @@ def expand_to_bsfbc(
     beta: int,
     delta: int,
     theta: float | None = None,
+    *,
+    deadline: float | None = None,
 ) -> list[Biclique]:
     """Algorithm 9 lines 4-8: SSFBCs -> BSFBCs via Combination on the upper side.
 
     With ``theta`` this is the BFairBCEMPro++ expansion (CombinationPro and a
-    ratio-aware MFSCheck, Sec. IV-C).
+    ratio-aware MFSCheck, Sec. IV-C). Past ``deadline`` (a
+    ``time.perf_counter()`` value) it raises :class:`SearchTimeout`.
+
+    MFSCheck(N(l'), R) depends only on the count vectors of N(l') and R,
+    because R ⊆ N(L) ⊆ N(l'). So each distinct L is expanded once, its
+    subsets l' grouped by the count vector of N(l'), and each group is
+    checked once per SSFBC.
     """
     _check_theta(theta, g.attrs_u, g.attrs_v)
+    groups: dict[frozenset[int], list[tuple[dict, list[frozenset[int]]]]] = {}
     res: list[Biclique] = []
     for l_full, r in ssfbcs:
-        for l1 in combination(l_full, g.u_val, g.attrs_u, alpha, delta, theta):
-            n_l1 = g.common_neighbors_of_us(l1)
-            if mfs_check(n_l1, r, g.v_val, g.attrs_v, beta, delta, theta):
-                res.append((l1, r))
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SearchTimeout(f"expansion exceeded its time budget ({len(res)} results so far)")
+        if l_full not in groups:
+            by_counts: dict[tuple[int, ...], tuple[dict, list[frozenset[int]]]] = {}
+            for l1 in combination(l_full, g.u_val, g.attrs_u, alpha, delta, theta):
+                c = attr_counts(g.common_neighbors_of_us(l1), g.v_val, g.attrs_v)
+                by_counts.setdefault(tuple(c.values()), (c, []))[1].append(l1)
+            groups[l_full] = list(by_counts.values())
+        r_counts = attr_counts(r, g.v_val, g.attrs_v)
+        for n_counts, l1s in groups[l_full]:
+            if mfs_check(n_counts, r_counts, beta, delta, theta):
+                res.extend((l1, r) for l1 in l1s)
     return res
 
 
@@ -54,12 +74,14 @@ def search_bsfbc(
     ``algorithm`` selects the SSFBC engine: ``"bcem"`` gives BFairBCEM,
     ``"bcem_pp"`` gives BFairBCEM++, ``"nsf"`` gives BNSF. ``theta`` gives
     BFairBCEMPro++ (``"bcem_pp"`` only, theta in (0, 0.5], at most two
-    attribute values on each side).
+    attribute values on each side). ``time_budget_s`` bounds the SSFBC
+    search and the expansion together: past it, :class:`SearchTimeout`.
     """
     _check_theta(theta, g_pruned.attrs_u, g_pruned.attrs_v)
+    deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     ssfbcs = search_ssfbc(
         g_pruned, alpha, beta, delta, algorithm=algorithm, ordering=ordering,
         theta=theta, time_budget_s=time_budget_s,
     )
-    return expand_to_bsfbc(g_pruned, ssfbcs, alpha, beta, delta, theta)
+    return expand_to_bsfbc(g_pruned, ssfbcs, alpha, beta, delta, theta, deadline=deadline)
 

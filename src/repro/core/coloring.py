@@ -22,8 +22,3 @@ def greedy_color(adj: Adjacency) -> dict[int, int]:
             c += 1
         color[v] = c
     return color
-
-
-def is_proper_coloring(adj: Adjacency, color: dict[int, int]) -> bool:
-    """True iff no edge is monochromatic (test helper)."""
-    return all(color[v] != color[w] for v in adj for w in adj[v])

@@ -5,8 +5,11 @@ Implements Definition 11 (fair set), Definition 12 / Algorithm 4
 turns each into its proportion variant (Definition 5, ``CombinationPro`` of
 Sec. III-D).
 
-Throughout, an "attributed set" is represented as any iterable of vertex
-ids together with a ``val`` mapping and an explicit attribute domain — the
+Fairness depends only on a set's count vector, one count per attribute
+value: :func:`fair_counts` decides it, and :func:`mfs_check` works on the
+count vectors of a set and its candidate subset. :func:`is_fair_set` and
+:func:`combination` take an attributed set: any iterable of vertex ids
+together with a ``val`` mapping and an explicit attribute domain — the
 fairness definitions quantify over the *full* domain, so an attribute value
 with zero members makes the set unfair whenever the size threshold is >= 1.
 """
@@ -26,6 +29,23 @@ def attr_counts(
     return {a: c.get(a, 0) for a in domain}
 
 
+def fair_counts(c: Sequence[int], k: int, delta: int, theta: float | None = None) -> bool:
+    """Definition 11 on a count vector ``c`` (one count per attribute value):
+    every count >= k and pairwise diffs <= delta.
+
+    With ``theta`` set, also Definition 5 condition (3): every ratio
+    ``c_a / sum(c)`` is >= theta (proportion fairness).
+    """
+    lo = min(c)
+    if lo < k or max(c) - lo > delta:
+        return False
+    if theta is None:
+        return True
+    total = sum(c)
+    # An empty set (reachable only for k == 0) has no ratio to violate.
+    return total == 0 or lo / total >= theta
+
+
 def is_fair_set(
     s: Iterable[int],
     val: Mapping[int, Hashable],
@@ -34,20 +54,8 @@ def is_fair_set(
     delta: int,
     theta: float | None = None,
 ) -> bool:
-    """Definition 11: every attribute count >= k and pairwise diffs <= delta.
-
-    With ``theta`` set, also Definition 5 condition (3): every attribute
-    ratio ``|S_a| / |S|`` is >= theta (proportion fairness).
-    """
-    counts = list(attr_counts(s, val, domain).values())
-    lo = min(counts)
-    if lo < k or max(counts) - lo > delta:
-        return False
-    if theta is None:
-        return True
-    total = sum(counts)
-    # An empty set (reachable only for k == 0) has no ratio to violate.
-    return total == 0 or lo / total >= theta
+    """Definition 11 (and, with ``theta``, Definition 5) on the set ``s``."""
+    return fair_counts(list(attr_counts(s, val, domain).values()), k, delta, theta)
 
 
 def _check_theta(theta: float | None, *domains: Sequence[Hashable]) -> None:
@@ -66,42 +74,36 @@ def _check_theta(theta: float | None, *domains: Sequence[Hashable]) -> None:
 
 
 def mfs_check(
-    s: Iterable[int],
-    s_hat: Iterable[int],
-    val: Mapping[int, Hashable],
-    domain: Sequence[Hashable],
+    counts: Mapping[Hashable, int],
+    hat_counts: Mapping[Hashable, int],
     k: int,
     delta: int,
     theta: float | None = None,
 ) -> bool:
     """Algorithm 4: is ``s_hat`` a maximal fair subset of ``s``?
 
+    Takes the count vectors of ``s`` and of ``s_hat ⊆ s``, as
+    :func:`attr_counts` returns them: the answer depends on nothing else.
     With ``theta`` set, fairness means *proportion* fairness (used by the
     Pro variants, which must re-check the ratio constraint per the paper's
     Sec. IV-C note).
 
-    Faithful to the pseudo-code: (1) fail if some attribute of ``s_hat`` is
-    below ``k``; (2) fail if every attribute still has spare vertices in
-    ``s - s_hat`` (then one vertex per attribute can be added, which keeps
-    all pairwise differences and, for theta <= 0.5, every ratio); (3) fail
-    if any single spare vertex can be added while keeping fairness.
+    Faithful to the pseudo-code: (1) fail if ``s_hat`` is not fair; (2) fail
+    if every attribute still has spare vertices in ``s - s_hat`` (then one
+    vertex per attribute can be added, which keeps all pairwise differences
+    and, for theta <= 0.5, every ratio); (3) fail if any single spare vertex
+    can be added while keeping fairness.
     """
-    s_hat = set(s_hat)
-    if not is_fair_set(s_hat, val, domain, k, delta, theta):
+    hat = list(hat_counts.values())
+    if not fair_counts(hat, k, delta, theta):
         return False
-    spare = [x for x in s if x not in s_hat]
-    spare_by_attr: dict[Hashable, list[int]] = {a: [] for a in domain}
-    for x in spare:
-        spare_by_attr[val[x]].append(x)
-    if all(spare_by_attr[a] for a in domain):
+    spare = [counts[a] > n for a, n in hat_counts.items()]
+    if all(spare):
         return False
-    for a in domain:
-        # All spare vertices of one attribute are interchangeable here.
-        if spare_by_attr[a] and is_fair_set(
-            s_hat | {spare_by_attr[a][0]}, val, domain, k, delta, theta
-        ):
-            return False
-    return True
+    return not any(
+        fair_counts(hat[:i] + [hat[i] + 1] + hat[i + 1:], k, delta, theta)
+        for i, has_spare in enumerate(spare) if has_spare
+    )
 
 
 def _subsets_of_size(items: Sequence[int], size: int) -> list[frozenset[int]]:

@@ -91,10 +91,12 @@ class _Ctx:
             s, self.g.v_val, self.domain, self.beta, self.delta, self.theta
         )
 
+    def counts(self, s: Iterable[int]) -> dict[int, int]:
+        return attr_counts(s, self.g.v_val, self.domain)
+
     def beta_bound_ok(self, r: Iterable[int], p: Iterable[int]) -> bool:
         """Observation 5: every attribute can still reach beta from R ∪ P."""
-        rc = attr_counts(r, self.g.v_val, self.domain)
-        pc = attr_counts(p, self.g.v_val, self.domain)
+        rc, pc = self.counts(r), self.counts(p)
         return all(rc[a] + pc[a] >= self.beta for a in self.domain)
 
 
@@ -156,8 +158,8 @@ def _expand_bcem(
 
     if len(L1) >= ctx.alpha and ctx.fair(R1):
         if mfs_check(
-            R1 | set(p_fc) | set(q_fc), R1,
-            ctx.g.v_val, ctx.domain, ctx.beta, ctx.delta, ctx.theta,
+            ctx.counts(R1 | set(p_fc) | set(q_fc)), ctx.counts(R1),
+            ctx.beta, ctx.delta, ctx.theta,
         ):
             ctx.res.append((frozenset(L1), frozenset(R1)))
 

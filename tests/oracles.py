@@ -49,6 +49,11 @@ def is_biclique(g: BipartiteGraph, us: Iterable[int], vs: Iterable[int]) -> bool
     return all(vs <= g.adj_u[u] for u in us)
 
 
+def is_proper_coloring(adj: Mapping[int, Iterable[int]], color: Mapping[int, int]) -> bool:
+    """True iff no edge of the undirected graph ``adj`` is monochromatic."""
+    return all(color[v] != color[w] for v in adj for w in adj[v])
+
+
 def brute_maximal_fair_subsets(
     s: Iterable[int],
     val: Mapping[int, Hashable],

@@ -1,10 +1,13 @@
 """BSFBC enumeration vs brute force; Observation 6; structural validity."""
+import time
+from collections import Counter
+
 import pytest
 
-from repro.core.bsfbc import search_bsfbc
+from repro.core.bsfbc import expand_to_bsfbc, search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
-from repro.core.fairset import is_fair_set
-from repro.core.ssfbc import search_ssfbc
+from repro.core.fairset import attr_counts, combination, is_fair_set, mfs_check
+from repro.core.ssfbc import SearchTimeout, search_ssfbc
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
 from tests.oracles import brute_bsfbc, brute_ssfbc, is_biclique
 
@@ -20,6 +23,56 @@ def test_matches_bruteforce(seed, alpha, beta, delta, algo):
     got = search_bsfbc(bcfcore(g, alpha, beta), alpha, beta, delta, algorithm=algo)
     assert len(got) == len(set(got)), "duplicate results"
     assert set(got) == truth
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("alpha,beta,delta", [(1, 1, 1), (1, 1, 0), (2, 1, 2), (1, 1, 2)])
+@pytest.mark.parametrize("algo", ["bcem", "bcem_pp", "nsf"])
+def test_three_valued_domains_match_bruteforce(seed, alpha, beta, delta, algo):
+    g = random_bipartite(8, 8, 0.85, n_attrs_u=3, n_attrs_v=3, seed=seed)
+    truth = brute_bsfbc(g, alpha, beta, delta)
+    got = search_bsfbc(bcfcore(g, alpha, beta), alpha, beta, delta, algorithm=algo)
+    assert len(got) == len(set(got)), "duplicate results"
+    assert set(got) == truth
+
+
+def _per_subset_expansion(g, ssfbcs, alpha, beta, delta, theta):
+    """Reference: Algorithm 9 lines 4-8 literally, one MFSCheck per subset l'."""
+    res = []
+    for l_full, r in ssfbcs:
+        for l1 in combination(l_full, g.u_val, g.attrs_u, alpha, delta, theta):
+            n_l1 = g.common_neighbors_of_us(l1)
+            if mfs_check(
+                attr_counts(n_l1, g.v_val, g.attrs_v), attr_counts(r, g.v_val, g.attrs_v),
+                beta, delta, theta,
+            ):
+                res.append((l1, r))
+    return res
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("theta", [None, 0.45])
+def test_grouped_expansion_matches_per_subset_loop(seed, theta):
+    g = planted_bipartite(
+        PlantedSpec(n_u=120, n_v=90, n_background=300, n_blocks=6, block_u=8, block_v=8),
+        seed=seed,
+    )
+    gp = bcfcore(g, 2, 2)
+    ssfbcs = search_ssfbc(gp, 2, 2, 1, theta=theta)
+    assert len({l for l, _ in ssfbcs}) < len(ssfbcs), "no repeated upper side"
+    want = _per_subset_expansion(gp, ssfbcs, 2, 2, 1, theta)
+    got = expand_to_bsfbc(gp, ssfbcs, 2, 2, 1, theta)
+    assert want
+    assert Counter(got) == Counter(want)
+
+
+def test_expansion_honours_deadline():
+    g = random_bipartite(7, 7, 0.55, seed=9)
+    gp = bcfcore(g, 1, 1)
+    ssfbcs = search_ssfbc(gp, 1, 1, 1)
+    assert ssfbcs
+    with pytest.raises(SearchTimeout):
+        expand_to_bsfbc(gp, ssfbcs, 1, 1, 1, deadline=time.perf_counter() - 1.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -75,14 +128,14 @@ def test_results_are_valid_bsfbcs(seed):
 def test_bsfbc_upper_sides_are_fair_subsets_of_ssfbc_l(seed):
     """Each BSFBC's L is a maximal fair subset of the matching SSFBC's L
     (the Combination step of Algorithm 9)."""
-    from repro.core.fairset import mfs_check
-
     g = random_bipartite(7, 7, 0.55, seed=seed)
     ssfbc_by_r = {r: l for l, r in brute_ssfbc(g, 1, 1, 1)}
     for a, b in brute_bsfbc(g, 1, 1, 1):
         l_full = ssfbc_by_r[b]
         assert a <= l_full
-        assert mfs_check(l_full, a, g.u_val, g.attrs_u, 1, 1)
+        assert mfs_check(
+            attr_counts(l_full, g.u_val, g.attrs_u), attr_counts(a, g.u_val, g.attrs_u), 1, 1
+        )
 
 
 def test_bfair_bcem_end_to_end():

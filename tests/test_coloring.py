@@ -1,9 +1,10 @@
 """Greedy colouring: propriety, determinism, degree-order bound."""
 import pytest
 
-from repro.core.coloring import greedy_color, is_proper_coloring
+from repro.core.coloring import greedy_color
 from repro.core.twohop import two_hop
 from repro.graph.generators import random_bipartite
+from tests.oracles import is_proper_coloring
 
 
 def _random_graph(n, p, seed):

@@ -72,9 +72,26 @@ def test_mfs_check_matches_bruteforce(c0, c1, k, delta):
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
             s_hat = frozenset(combo)
-            assert mfs_check(items, s_hat, val, DOMAIN, k, delta) == (
+            assert mfs_check(
+                attr_counts(items, val, DOMAIN), attr_counts(s_hat, val, DOMAIN), k, delta
+            ) == (
                 s_hat in truth
             ), f"S_hat={sorted(s_hat)} counts=({c0},{c1}) k={k} d={delta}"
+
+
+@pytest.mark.parametrize("sizes", list(itertools.product(range(4), repeat=3)))
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_mfs_check_three_classes_matches_bruteforce(sizes, k, delta):
+    """The count-vector MFSCheck on a 3-valued domain, every subset as S_hat."""
+    dom = (0, 1, 2)
+    items, val = _mk(dict(zip(dom, sizes)))
+    truth = brute_maximal_fair_subsets(items, val, dom, k, delta)
+    s_counts = attr_counts(items, val, dom)
+    for r in range(len(items) + 1):
+        for combo in itertools.combinations(items, r):
+            got = mfs_check(s_counts, attr_counts(combo, val, dom), k, delta)
+            assert got == (frozenset(combo) in truth), f"S_hat={combo} sizes={sizes}"
 
 
 @pytest.mark.parametrize("c0", range(0, 6))
@@ -141,8 +158,9 @@ def test_mfs_check_proportion_mode():
     # so (2,2) is maximal even though class 0 has spares and delta allows it.
     items, val = _mk({0: 3, 1: 2})
     s_hat = frozenset(i for i in items if val[i] == 0)  # wrong: unfair
-    assert not mfs_check(items, s_hat, val, DOMAIN, 1, 5, 0.5)
+    s_counts = attr_counts(items, val, DOMAIN)
+    assert not mfs_check(s_counts, attr_counts(s_hat, val, DOMAIN), 1, 5, 0.5)
     balanced = frozenset(list(range(2)) + [3, 4])  # 2 of each
-    assert mfs_check(items, balanced, val, DOMAIN, 1, 5, 0.5)
+    assert mfs_check(s_counts, attr_counts(balanced, val, DOMAIN), 1, 5, 0.5)
     # Without theta, delta=5 lets the spare class-0 vertex in: not maximal.
-    assert not mfs_check(items, balanced, val, DOMAIN, 1, 5)
+    assert not mfs_check(s_counts, attr_counts(balanced, val, DOMAIN), 1, 5)
