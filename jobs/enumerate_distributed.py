@@ -1,6 +1,6 @@
 """End-to-end distributed fair biclique enumeration for one dataset.
 
-Distributed pruning (DataFrame FCore/CFCore) + branch-parallel enumeration
+CFCore/BCFCore pruning on the driver + branch-parallel enumeration
 (mapInPandas). Run:
 
     spark-submit jobs/enumerate_distributed.py --dataset youtube-lite --model ssfbc

@@ -4,7 +4,7 @@ Run: ``python jobs/run.py NAME [--dataset DATASET]`` (or ``spark-submit``).
 NAME and its default dataset:
 
 - ``table1``: dataset statistics and default parameters (Table I), all five
-  datasets; the statistics are DataFrame aggregations on a local Spark session.
+  datasets.
 - ``table2``: runtimes with IDOrd / DegOrd (Table II); ``--dataset`` takes a
   comma-separated subset, all five by default.
 - ``exp1``: FCore vs CFCore pruning power (Figs. 3-4), imdb-lite.
@@ -12,6 +12,8 @@ NAME and its default dataset:
 - ``exp4``: counts of maximal vs fair bicliques (Fig. 6), wikicat-lite.
 - ``exp5``: runtime vs edge fraction (Fig. 7), dblp-lite.
 - ``exp7``: proportion models vs theta (Figs. 11-12), youtube-lite.
+- ``peel``: local vs DataFrame BFCore peel on the dataset's shape scaled
+  x1, x10 and x30 (not in the paper), imdb-lite; starts a Spark session.
 
 The printed columns are the keys of the experiment's rows, in order.
 """
@@ -23,16 +25,16 @@ from repro.experiments import counts, pruning, scalability, sweeps, table1, tabl
 from repro.experiments.runner import format_table
 
 
-def _table1(_dataset: str | None) -> list[dict]:
-    spark = SparkSession.builder.appName("repro-table1").getOrCreate()
+def _peel(dataset: str) -> list[dict]:
+    spark = SparkSession.builder.appName("repro-peel").getOrCreate()
     try:
-        return table1.rows(spark)
+        return scalability.peel_ladder(spark, dataset)
     finally:
         spark.stop()
 
 
 EXPERIMENTS = {
-    "table1": (_table1, None),
+    "table1": (lambda _ds: table1.rows(), None),
     "table2": (lambda ds: table2.rows(ds.split(",") if ds else None), None),
     "exp1": (lambda ds: pruning.sweep(ds) + pruning.sweep(ds, bi=True), "imdb-lite"),
     "exp2": (
@@ -43,6 +45,7 @@ EXPERIMENTS = {
     "exp4": (counts.sweep, "wikicat-lite"),
     "exp5": (scalability.sweep, "dblp-lite"),
     "exp7": (theta.sweep, "youtube-lite"),
+    "peel": (_peel, "imdb-lite"),
 }
 
 

@@ -6,13 +6,14 @@ colourful β-core peel (Definitions 9/10) → remove pruned fair-side vertices
 → FCore again. The bi-side variant applies the bi-2-hop construction and an
 ego colourful core on *both* sides before re-running BFCore.
 
-Both pipelines run through one body, :func:`_prune`, on the peeled graph.
-The backends differ only in the first peel: local queue peel, or (hybrid
-Spark) the DataFrame fixpoint of :mod:`repro.core.fcore_df`, collected to
-the driver. Every later step — 2-hop, colouring, ego peel and re-peel —
-runs locally on that collected core; the re-peel is exact because fair
-cores are confluent closures. The U side of BCFCore runs the V-side
-machinery on ``g.mirror()``.
+Both pipelines run through one body, :func:`_prune`, on the peeled graph;
+the re-peel is exact because fair cores are confluent closures. The U side
+of BCFCore runs the V-side machinery on ``g.mirror()``. The Spark pipeline's
+``cfcore_spark``/``bcfcore_spark`` prune on the driver too: the local peel
+beat the DataFrame rounds of :mod:`repro.core.fcore_df` at every measured
+size up to 1.23 M edges (EXPERIMENTS.md, "Spark peel crossover"). They keep
+the ``spark`` argument of the Spark pipeline's callers but run no Spark job;
+Spark runs only the enumeration fan-out.
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ from pyspark.sql import SparkSession
 
 from repro.core.coloring import greedy_color
 from repro.core.fcore import bfcore, fcore
-from repro.core.fcore_df import bfcore_edges, fcore_edges
 from repro.core.twohop import Adjacency, bi_two_hop, two_hop
-# Imported only so the benchmark tracer can resolve it on this module.
+# Imported only so the benchmark tracer can resolve them on this module.
+from repro.core.fcore_df import bfcore_edges, fcore_edges  # noqa: F401
 from repro.core.twohop import adjacency_from_pairs  # noqa: F401
 from repro.graph.bipartite import BipartiteGraph
 
@@ -88,20 +89,6 @@ def _prune_two_hop_side(
     return ego_colorful_core(sub, val, domain, color, k)
 
 
-def _peel_df(
-    spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int, bi: bool
-) -> BipartiteGraph:
-    """FCore (BFCore if ``bi``) as a DataFrame fixpoint, collected to the driver."""
-    edges, u_attrs, v_attrs = g.to_spark(spark)
-    n_au, n_av = len(g.attrs_u), len(g.attrs_v)
-    if bi:
-        core = bfcore_edges(edges, u_attrs, v_attrs, alpha, beta, n_au, n_av)
-    else:
-        core = fcore_edges(edges, v_attrs, alpha, beta, n_av)
-    pdf = core.toPandas()
-    return g.induced(set(pdf["u"].tolist()), set(pdf["v"].tolist()))
-
-
 def _prune(g1: BipartiteGraph, alpha: int, beta: int, bi: bool) -> BipartiteGraph:
     """CFCore (BCFCore if ``bi``) from the (bi-)fair core ``g1`` onward."""
     if g1.n_edges == 0:
@@ -128,12 +115,12 @@ def bcfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
 def cfcore_spark(
     spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
 ) -> BipartiteGraph:
-    """Hybrid Algorithm 2: DF peel, then local 2-hop/colour/ego/re-peel."""
-    return _prune(_peel_df(spark, g, alpha, beta, False), alpha, beta, False)
+    """Algorithm 2 for the Spark pipeline: the local prune on the driver."""
+    return _prune(fcore(g, alpha, beta), alpha, beta, False)
 
 
 def bcfcore_spark(
     spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
 ) -> BipartiteGraph:
-    """Hybrid BCFCore: DF bi-peel, then local bi-2-hop/colour/ego/re-peel."""
-    return _prune(_peel_df(spark, g, alpha, beta, True), alpha, beta, True)
+    """BCFCore for the Spark pipeline: the local prune on the driver."""
+    return _prune(bfcore(g, alpha, beta), alpha, beta, True)

@@ -7,6 +7,12 @@ maximal subgraph satisfying the degree constraints is unique and any removal
 order reaches it — so the synchronous rounds converge to exactly the
 sequential peel of :mod:`repro.core.fcore` (asserted by tests).
 
+No pipeline calls these functions: the Spark pruning of
+:mod:`repro.core.cfcore` peels on the driver, because the local peel beat
+these rounds at every measured size (EXPERIMENTS.md, "Spark peel
+crossover"). They are the distributed reference the tests check against the
+local peel, and the DataFrame side of ``scalability.peel_ladder``.
+
 ``localCheckpoint`` truncates the lineage every round; without it the plan
 doubles per iteration and Catalyst analysis time dominates.
 """

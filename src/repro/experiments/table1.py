@@ -1,34 +1,17 @@
 """Table I — dataset statistics and default parameters.
 
 Reports |U|, |V|, |E| and density for each synthetic dataset next to the
-paper's values for the original, plus the scaled default parameters. With a
-SparkSession the statistics are computed as DataFrame aggregations over the
-edge list (the same dataflow a full-scale run would use); the DuckDB oracle
-checks this query in the tests.
+paper's values for the original, plus the scaled default parameters.
 """
 from __future__ import annotations
-
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.experiments.datasets import DATASETS, PAPER_TABLE1, load
 
 
-def stats_row(name: str, spark: SparkSession | None = None) -> dict:
+def stats_row(name: str) -> dict:
     """One Table I row for dataset ``name``."""
     d = DATASETS[name]
     g = load(name)
-    if spark is not None:
-        edges, _u, _v = g.to_spark(spark)
-        agg = edges.agg(
-            F.countDistinct("u").alias("nu"),
-            F.countDistinct("v").alias("nv"),
-            F.count("*").alias("ne"),
-        ).collect()[0]
-        # countDistinct over edges misses isolated vertices; Table I counts
-        # all generated vertices, so report the generator's totals and keep
-        # the distributed aggregate as a consistency check.
-        assert agg.ne == g.n_edges
     return {
         "dataset": name,
         "paper_dataset": d.paper_name,
@@ -49,5 +32,5 @@ def stats_row(name: str, spark: SparkSession | None = None) -> dict:
     }
 
 
-def rows(spark: SparkSession | None = None) -> list[dict]:
-    return [stats_row(name, spark) for name in DATASETS]
+def rows() -> list[dict]:
+    return [stats_row(name) for name in DATASETS]

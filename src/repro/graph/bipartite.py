@@ -7,9 +7,8 @@ Two representations:
   search subtree) and by the exact O(E) peeling algorithms.
 - **DataFrame**: three DataFrames ``edges(u, v)``, ``u_attrs(u, val)``,
   ``v_attrs(v, val)`` — the distributed-dataflow representation that the
-  first FCore/BFCore peel of the Spark pruning (:mod:`repro.core.fcore_df`)
-  operates on. The 2-hop graphs and the later pruning steps run on the
-  local form of the collected core.
+  DataFrame FCore/BFCore peel (:mod:`repro.core.fcore_df`) operates on.
+  The pruning pipelines, the Spark one included, run on the local form.
 
 Attribute domains ``attrs_u`` / ``attrs_v`` are carried explicitly: the
 fairness definitions quantify over *all* values of ``A(U)`` / ``A(V)`` in the

@@ -39,7 +39,7 @@ def test_table1_rows_local():
 
 
 def test_table1_stats_with_spark_and_oracle(spark):
-    row = table1.stats_row("youtube-lite", spark)
+    row = table1.stats_row("youtube-lite")
     assert row["E"] > 0
     # The edge-count aggregation, DuckDB-oracled.
     g = load("youtube-lite")
@@ -55,6 +55,7 @@ def test_table1_stats_with_spark_and_oracle(spark):
         "SELECT COUNT(DISTINCT u) AS nu, COUNT(DISTINCT v) AS nv, COUNT(*) AS ne FROM edges",
         edges=e_pdf,
     )
+    assert got.collect()[0]["ne"] == row["E"]
 
 
 def test_table2_cell_runs_and_orders():
@@ -134,6 +135,13 @@ def test_scalability_edge_sample():
     sub = scalability.edge_sample(g, 0.5, seed=1)
     assert 0.4 * g.n_edges < sub.n_edges < 0.6 * g.n_edges
     assert scalability.edge_sample(g, 1.1, seed=1).n_edges == g.n_edges
+
+
+def test_peel_ladder_scale_one_is_the_dataset(spark):
+    """Rung 1 is the dataset itself, and both peels give the same core."""
+    (row,) = scalability.peel_ladder(spark, "youtube-lite", scales=(1,))
+    assert row["scale"] == 1 and row["edges"] == load("youtube-lite").n_edges
+    assert row["core_edges"] > 0 and row["equal"] is True
 
 
 def test_format_table():

@@ -142,12 +142,13 @@ def to_spark_calls(monkeypatch):
 
 @pytest.mark.parametrize("alpha,beta", [(2, 2), (3, 3)])
 def test_cfcore_spark_matches_local(spark, g_planted, g_planted3, alpha, beta, to_spark_calls):
-    """Same core as the local pipeline; only the first peel converts to Spark."""
+    """Same core as the local pipeline; the Spark pipeline prunes on the driver
+    and converts nothing to Spark."""
     for g in (g_planted, g_planted3):
         lo = cfcore(g, alpha, beta)
         to_spark_calls.clear()
         hi = cfcore_spark(spark, g, alpha, beta)
-        assert len(to_spark_calls) == 1
+        assert len(to_spark_calls) == 0
         assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
 
 
@@ -156,7 +157,7 @@ def test_bcfcore_spark_matches_local(spark, g_planted, g_planted3, to_spark_call
         lo = bcfcore(g, 2, 2)
         to_spark_calls.clear()
         hi = bcfcore_spark(spark, g, 2, 2)
-        assert len(to_spark_calls) == 1
+        assert len(to_spark_calls) == 0
         assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
 
 

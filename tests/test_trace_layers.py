@@ -65,8 +65,8 @@ def test_spark_pipeline_spans_nest_under_its_driver(spark, g_planted):
     with tracer.installed():
         cfcore.bcfcore_spark(spark, g_planted, 2, 2)
     names = _names(tracer)
-    assert "cfcore.prune" not in names
-    assert {"fcore_df.peel", "twohop.build"} <= names
+    assert "cfcore.prune" not in names and "fcore_df.peel" not in names
+    assert {"fcore.peel", "twohop.build"} <= names
     for i, (name, _start, _end, _parent) in enumerate(tracer.spans):
-        if name in ("fcore_df.peel", "twohop.build"):
+        if name in ("fcore.peel", "twohop.build"):
             assert "cfcore.bcfcore_spark" in _ancestors(tracer, i)
