@@ -9,7 +9,7 @@ import argparse
 
 from pyspark.sql import SparkSession
 
-from repro.core.cfcore import bcfcore_spark, cfcore_spark
+from repro.core.cfcore import bcfcore, cfcore
 from repro.core.distributed import enumerate_df
 from repro.experiments.datasets import DATASETS, load
 
@@ -19,10 +19,10 @@ def main(spark: SparkSession, dataset: str, model: str = "ssfbc") -> int:
     g = load(dataset)
     if model == "ssfbc":
         alpha, beta = d.alpha_s, d.beta_s
-        gp = cfcore_spark(spark, g, alpha, beta)
+        gp = cfcore(g, alpha, beta)
     else:
         alpha, beta = d.alpha_b, d.beta_b
-        gp = bcfcore_spark(spark, g, alpha, beta)
+        gp = bcfcore(g, alpha, beta)
     res = enumerate_df(spark, gp, alpha, beta, d.delta, model=model)
     n = res.count()
     print(

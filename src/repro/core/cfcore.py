@@ -8,12 +8,12 @@ ego colourful core on *both* sides before re-running BFCore.
 
 Both pipelines run through one body, :func:`_prune`, on the peeled graph;
 the re-peel is exact because fair cores are confluent closures. The U side
-of BCFCore runs the V-side machinery on ``g.mirror()``. The Spark pipeline's
-``cfcore_spark``/``bcfcore_spark`` prune on the driver too: the local peel
-beat the DataFrame rounds of :mod:`repro.core.fcore_df` at every measured
-size up to 1.23 M edges (EXPERIMENTS.md, "Spark peel crossover"). They keep
-the ``spark`` argument of the Spark pipeline's callers but run no Spark job;
-Spark runs only the enumeration fan-out.
+of BCFCore runs the V-side machinery on ``g.mirror()``. The Spark pipeline
+prunes with the same functions on the driver: the local peel beat the
+DataFrame rounds of :mod:`repro.core.fcore_df` at every measured size up to
+1.23 M edges (EXPERIMENTS.md, "Spark peel crossover"), so Spark runs only
+the enumeration fan-out. ``fcore``/``bfcore`` are called through this
+module's names, so a tracer that wraps them here sees every peel.
 """
 from __future__ import annotations
 
@@ -112,15 +112,9 @@ def bcfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
     return _prune(bfcore(g, alpha, beta), alpha, beta, True)
 
 
-def cfcore_spark(
-    spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
-) -> BipartiteGraph:
-    """Algorithm 2 for the Spark pipeline: the local prune on the driver."""
-    return _prune(fcore(g, alpha, beta), alpha, beta, False)
-
-
 def bcfcore_spark(
     spark: SparkSession, g: BipartiteGraph, alpha: int, beta: int
 ) -> BipartiteGraph:
-    """BCFCore for the Spark pipeline: the local prune on the driver."""
+    """:func:`bcfcore` with an unused ``spark``; it stays only because
+    ``fairbench/workloads.py`` calls it and ``fairbench/spans.py`` names its span."""
     return _prune(bfcore(g, alpha, beta), alpha, beta, True)

@@ -1,17 +1,18 @@
 """Fair α-β core (Algorithm 1, ``FCore``) and bi-fair α-β core (``BFCore``).
 
-Exact O(E) queue-based peeling on the local graph representation. The fair
-α-β core (Definition 8) keeps upper vertices whose *attribute degree* to
-every V-attribute is >= beta and lower vertices whose degree is >= alpha;
-the bi-fair core (Definition 13) uses attribute degrees on both sides. Any
-SSFBC / BSFBC survives the respective peel (Lemmas 1 and 3), which is what
-the tests assert.
-
-The distributed DataFrame formulation lives in :mod:`repro.core.fcore_df`.
+The fair α-β core (Definition 8) keeps upper vertices whose *attribute
+degree* to every V-attribute is >= beta and lower vertices whose degree is
+>= alpha; the bi-fair core (Definition 13) uses attribute degrees on both
+sides. FCore's lower rule is BFCore's over a one-value U domain, so both run
+one peel, :func:`_peel`: synchronous frontier rounds on numpy edge arrays,
+O(E) plus a constant per round. Any SSFBC / BSFBC survives the respective
+peel (Lemmas 1 and 3). The DataFrame formulation is :mod:`repro.core.fcore_df`.
 """
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain, compress
+
+import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 
@@ -23,53 +24,7 @@ def fcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
     domains preserved). With ``beta >= 1`` an attribute value absent from
     ``g`` empties the core, matching Definition 8.
     """
-    if alpha < 1 or beta < 1:
-        raise ValueError("fcore requires alpha >= 1 and beta >= 1")
-    # Attribute degrees of U vertices over the full A(V) domain.
-    attdeg = {
-        u: {a: 0 for a in g.attrs_v} for u in g.adj_u
-    }
-    for u, nbrs in g.adj_u.items():
-        for v in nbrs:
-            attdeg[u][g.v_val[v]] += 1
-    deg = {v: len(nbrs) for v, nbrs in g.adj_v.items()}
-
-    removed_u: set[int] = set()
-    removed_v: set[int] = set()
-    q: deque[tuple[str, int]] = deque()
-    for u in g.adj_u:
-        if min(attdeg[u].values()) < beta:
-            removed_u.add(u)
-            q.append(("u", u))
-    for v in g.adj_v:
-        if deg[v] < alpha:
-            removed_v.add(v)
-            q.append(("v", v))
-
-    while q:
-        side, x = q.popleft()
-        if side == "u":
-            for v in g.adj_u[x]:
-                if v in removed_v:
-                    continue
-                deg[v] -= 1
-                if deg[v] < alpha:
-                    removed_v.add(v)
-                    q.append(("v", v))
-        else:
-            a = g.v_val[x]
-            for u in g.adj_v[x]:
-                if u in removed_u:
-                    continue
-                attdeg[u][a] -= 1
-                if attdeg[u][a] < beta:
-                    removed_u.add(u)
-                    q.append(("u", u))
-
-    return g.induced(
-        (u for u in g.adj_u if u not in removed_u),
-        (v for v in g.adj_v if v not in removed_v),
-    )
+    return _peel(g, alpha, beta, bi=False)
 
 
 def bfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
@@ -78,51 +33,68 @@ def bfcore(g: BipartiteGraph, alpha: int, beta: int) -> BipartiteGraph:
     Upper vertices need attribute degree >= beta for every value of A(V);
     lower vertices need attribute degree >= alpha for every value of A(U).
     """
+    return _peel(g, alpha, beta, bi=True)
+
+
+def _edges_of(ptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Positions in a CSR edge array of every edge of the ``frontier`` vertices."""
+    starts = ptr[frontier]
+    lens = ptr[frontier + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return offsets + np.arange(offsets.size)
+
+
+def _peel(g: BipartiteGraph, alpha: int, beta: int, bi: bool) -> BipartiteGraph:
+    """FCore (BFCore if ``bi``): without ``bi`` every upper vertex counts as one value."""
     if alpha < 1 or beta < 1:
-        raise ValueError("bfcore requires alpha >= 1 and beta >= 1")
-    attdeg_u = {u: {a: 0 for a in g.attrs_v} for u in g.adj_u}
-    for u, nbrs in g.adj_u.items():
-        for v in nbrs:
-            attdeg_u[u][g.v_val[v]] += 1
-    attdeg_v = {v: {a: 0 for a in g.attrs_u} for v in g.adj_v}
-    for v, nbrs in g.adj_v.items():
-        for u in nbrs:
-            attdeg_v[v][g.u_val[u]] += 1
+        raise ValueError(f"{'bfcore' if bi else 'fcore'} requires alpha >= 1 and beta >= 1")
+    us, vs = list(g.adj_u), sorted(g.adj_v)
+    n_u, n_v = len(us), len(vs)
+    # Attribute values as codes 0..k-1 of their domain.
+    code_v = {a: i for i, a in enumerate(g.attrs_v)}
+    k_u, k_v = len(g.attrs_u) if bi else 1, len(code_v)
+    val_v = np.fromiter((code_v[g.v_val[v]] for v in vs), np.int64, n_v)
+    if bi:
+        code_u = {a: i for i, a in enumerate(g.attrs_u)}
+        val_u = np.fromiter((code_u[g.u_val[u]] for u in us), np.int64, n_u)
+    else:
+        val_u = np.zeros(n_u, np.int64)
 
-    removed_u: set[int] = set()
-    removed_v: set[int] = set()
-    q: deque[tuple[str, int]] = deque()
-    for u in g.adj_u:
-        if min(attdeg_u[u].values()) < beta:
-            removed_u.add(u)
-            q.append(("u", u))
-    for v in g.adj_v:
-        if min(attdeg_v[v].values()) < alpha:
-            removed_v.add(v)
-            q.append(("v", v))
+    # Edges sorted by upper vertex (CSR ``ptr_u``), and the same edges
+    # sorted by lower vertex (CSR ``ptr_v``, positions ``by_v``). Searching
+    # the ids in sorted order is ~4x faster than in edge order.
+    deg_u = np.fromiter(map(len, g.adj_u.values()), np.int64, n_u)
+    ptr_u = np.concatenate(([0], np.cumsum(deg_u)))
+    eu = np.repeat(np.arange(n_u), deg_u)
+    v_ids = np.fromiter(chain.from_iterable(g.adj_u.values()), np.int64, ptr_u[-1])
+    by_v = np.argsort(v_ids)
+    ev = np.empty_like(by_v)
+    ev[by_v] = np.searchsorted(np.array(vs, np.int64), v_ids[by_v])
+    ptr_v = np.concatenate(([0], np.cumsum(np.bincount(ev, minlength=n_v))))
 
-    while q:
-        side, x = q.popleft()
-        if side == "u":
-            a = g.u_val[x]
-            for v in g.adj_u[x]:
-                if v in removed_v:
-                    continue
-                attdeg_v[v][a] -= 1
-                if attdeg_v[v][a] < alpha:
-                    removed_v.add(v)
-                    q.append(("v", v))
-        else:
-            a = g.v_val[x]
-            for u in g.adj_v[x]:
-                if u in removed_u:
-                    continue
-                attdeg_u[u][a] -= 1
-                if attdeg_u[u][a] < beta:
-                    removed_u.add(u)
-                    q.append(("u", u))
+    # cnt_u[u * k_v + a]: u's neighbours with V-value a; cnt_v likewise.
+    key_u = eu * k_v + val_v[ev]
+    key_v = ev * k_u + val_u[eu]
+    cnt_u = np.bincount(key_u, minlength=n_u * k_v)
+    cnt_v = np.bincount(key_v, minlength=n_v * k_u)
+    alive_u = ~(cnt_u.reshape(n_u, k_v) < beta).any(axis=1)
+    alive_v = ~(cnt_v.reshape(n_v, k_u) < alpha).any(axis=1)
+    front_u, front_v = np.flatnonzero(~alive_u), np.flatnonzero(~alive_v)
 
-    return g.induced(
-        (u for u in g.adj_u if u not in removed_u),
-        (v for v in g.adj_v if v not in removed_v),
-    )
+    while front_u.size or front_v.size:
+        # Each vertex is in one frontier at most once, so each edge is
+        # walked at most once from each end. A survivor fails only on a
+        # count it just lost, so only the decremented counts are checked.
+        e = _edges_of(ptr_u, front_u)
+        e = e[alive_v[ev[e]]]
+        np.subtract.at(cnt_v, key_v[e], 1)
+        new_v = np.unique(ev[e][cnt_v[key_v[e]] < alpha])
+        e = by_v[_edges_of(ptr_v, front_v)]
+        e = e[alive_u[eu[e]]]
+        np.subtract.at(cnt_u, key_u[e], 1)
+        new_u = np.unique(eu[e][cnt_u[key_u[e]] < beta])
+        alive_u[new_u] = False
+        alive_v[new_v] = False
+        front_u, front_v = new_u, new_v
+
+    return g.induced(compress(us, alive_u.tolist()), compress(vs, alive_v.tolist()))

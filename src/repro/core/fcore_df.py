@@ -5,7 +5,7 @@ degrees with ``groupBy`` aggregations and keeps only edges whose endpoints
 still qualify (``left_semi`` joins). Fair cores are confluent closures — the
 maximal subgraph satisfying the degree constraints is unique and any removal
 order reaches it — so the synchronous rounds converge to exactly the
-sequential peel of :mod:`repro.core.fcore` (asserted by tests).
+local peel of :mod:`repro.core.fcore` (asserted by tests).
 
 No pipeline calls these functions: the Spark pruning of
 :mod:`repro.core.cfcore` peels on the driver, because the local peel beat

@@ -4,7 +4,8 @@ Two representations:
 
 - **Local** (:class:`BipartiteGraph`): adjacency dicts + attribute maps on
   the driver. Used by the branch-and-bound kernels (which are sequential per
-  search subtree) and by the exact O(E) peeling algorithms.
+  search subtree) and by the exact O(E) peeling of :mod:`repro.core.fcore`,
+  which builds numpy edge arrays from the dicts on every call.
 - **DataFrame**: three DataFrames ``edges(u, v)``, ``u_attrs(u, val)``,
   ``v_attrs(v, val)`` — the distributed-dataflow representation that the
   DataFrame FCore/BFCore peel (:mod:`repro.core.fcore_df`) operates on.

@@ -96,3 +96,11 @@ def test_theta_rejected_on_driver(spark, model, theta, attrs, algorithm):
     g = random_bipartite(6, 6, 0.6, seed=0, **attrs)
     with pytest.raises(ValueError):
         enumerate_df(spark, g, 1, 1, 1, model=model, algorithm=algorithm, theta=theta)
+
+
+@pytest.mark.parametrize("model,want", [("ssfbc", 359), ("bsfbc", 3110)])
+def test_enumerate_distributed_job(spark, model, want):
+    """``jobs/enumerate_distributed.py`` gives Table II's youtube-lite counts."""
+    from jobs.enumerate_distributed import main
+
+    assert main(spark, "youtube-lite", model) == want

@@ -62,6 +62,49 @@ def test_bfcore_matches_naive_fixpoint(graph, alpha, beta):
     assert (set(got.adj_u), set(got.adj_v)) == (set(want.adj_u), set(want.adj_v))
 
 
+def _relabelled(g: BipartiteGraph) -> BipartiteGraph:
+    """``g`` with large, non-contiguous ids on both sides."""
+    nu = {u: 10**12 + 7919 * i for i, u in enumerate(sorted(g.adj_u, reverse=True))}
+    nv = {v: 2**40 - 104729 * i for i, v in enumerate(sorted(g.adj_v))}
+    return BipartiteGraph.from_edges(
+        [(nu[u], nv[v]) for u, vs in g.adj_u.items() for v in vs],
+        {nu[u]: a for u, a in g.u_val.items()},
+        {nv[v]: a for v, a in g.v_val.items()},
+        attrs_u=g.attrs_u,
+        attrs_v=g.attrs_v,
+    )
+
+
+def _zigzag(n: int) -> BipartiteGraph:
+    """Path u0-v0-u1-v1-... of ``n`` vertices whose far end hangs off a
+    K_{2,2}: at alpha = beta = 2 the peel removes one path vertex per round."""
+    k = n // 2
+    edges = [(i, i) for i in range(k)] + [(i + 1, i) for i in range(k - 1)]
+    edges += [(k - 1, k), (k, k), (k, k + 1), (k + 1, k), (k + 1, k + 1)]
+    return BipartiteGraph.from_edges(
+        edges, {u: u % 2 for u in range(k + 2)}, {v: 0 for v in range(k + 2)}
+    )
+
+
+# Degenerate and adversarial inputs for the array peel.
+SPECIAL = {
+    "empty": lambda: BipartiteGraph.from_edges([], {}, {}),
+    "edgeless": lambda: BipartiteGraph.from_edges([], {0: 0, 5: 1}, {3: 0, 9: 1, 4: 0}),
+    "large-ids": lambda: _relabelled(random_bipartite(**GRAPHS["attrs3"])),
+    "zigzag": lambda: _zigzag(60),
+}
+
+
+@pytest.mark.parametrize("graph", SPECIAL)
+@pytest.mark.parametrize("alpha,beta", PARAMS)
+@pytest.mark.parametrize("fn,bi", [(fcore, False), (bfcore, True)], ids=["fcore", "bfcore"])
+def test_special_graphs_match_naive_fixpoint(graph, alpha, beta, fn, bi):
+    g = SPECIAL[graph]()
+    got = fn(g, alpha, beta)
+    want = naive_fair_core(g, alpha, beta, bi=bi)
+    assert (set(got.adj_u), set(got.adj_v)) == (set(want.adj_u), set(want.adj_v))
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("alpha,beta,delta", [(1, 1, 1), (2, 1, 1), (2, 2, 2), (1, 2, 0)])
 def test_lemma1_ssfbc_survives_fcore(seed, alpha, beta, delta):

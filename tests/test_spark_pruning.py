@@ -2,7 +2,7 @@
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.cfcore import bcfcore, bcfcore_spark, cfcore, cfcore_spark
+from repro.core.cfcore import bcfcore, bcfcore_spark
 from repro.core.fcore import bfcore, fcore
 from repro.core.fcore_df import bfcore_edges, fcore_edges
 from repro.graph.bipartite import BipartiteGraph
@@ -140,19 +140,9 @@ def to_spark_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("alpha,beta", [(2, 2), (3, 3)])
-def test_cfcore_spark_matches_local(spark, g_planted, g_planted3, alpha, beta, to_spark_calls):
+def test_bcfcore_spark_matches_local(spark, g_planted, g_planted3, to_spark_calls):
     """Same core as the local pipeline; the Spark pipeline prunes on the driver
     and converts nothing to Spark."""
-    for g in (g_planted, g_planted3):
-        lo = cfcore(g, alpha, beta)
-        to_spark_calls.clear()
-        hi = cfcore_spark(spark, g, alpha, beta)
-        assert len(to_spark_calls) == 0
-        assert (set(lo.adj_u), set(lo.adj_v)) == (set(hi.adj_u), set(hi.adj_v))
-
-
-def test_bcfcore_spark_matches_local(spark, g_planted, g_planted3, to_spark_calls):
     for g in (g_planted, g_planted3):
         lo = bcfcore(g, 2, 2)
         to_spark_calls.clear()
