@@ -6,13 +6,15 @@ algorithms first enumerate all SSFBCs (with FairBCEM, FairBCEM++ or NSF
 respectively) and then expand each upper side ``L'`` into its maximal fair
 subsets with ``Combination``, keeping pairs ``(l', R')`` where ``R'`` is a
 maximal fair subset of ``N(l')`` (Algorithm 4), once per distinct upper
-side and count vector of ``N(l')`` (see :func:`expand_to_bsfbc`).
+side and count vector of ``N(l')`` (see :func:`expand_to_bsfbc`). ``N(l')``
+is an AND of the bit view's rows, and its count vector and R's are
+``bit_count()`` against the view's V attribute masks.
 """
 from __future__ import annotations
 
 import time
 
-from repro.core.fairset import _check_theta, attr_counts, combination, mfs_check
+from repro.core.fairset import _check_theta, combination, mfs_check
 from repro.core.ssfbc import Algorithm, Biclique, Ordering, SearchTimeout, search_ssfbc
 from repro.graph.bipartite import BipartiteGraph
 
@@ -39,18 +41,25 @@ def expand_to_bsfbc(
     checked once per SSFBC.
     """
     _check_theta(theta, g.attrs_u, g.attrs_v)
+    b = g.bits
+    adj_u, u_pos = b.adj_u, b.u_pos
     groups: dict[frozenset[int], list[tuple[dict, list[frozenset[int]]]]] = {}
     res: list[Biclique] = []
     for l_full, r in ssfbcs:
         if deadline is not None and time.perf_counter() > deadline:
             raise SearchTimeout(f"expansion exceeded its time budget ({len(res)} results so far)")
         if l_full not in groups:
-            by_counts: dict[tuple[int, ...], tuple[dict, list[frozenset[int]]]] = {}
+            by_counts: dict[tuple[int, ...], list[frozenset[int]]] = {}
             for l1 in combination(l_full, g.u_val, g.attrs_u, alpha, delta, theta):
-                c = attr_counts(g.common_neighbors_of_us(l1), g.v_val, g.attrs_v)
-                by_counts.setdefault(tuple(c.values()), (c, []))[1].append(l1)
-            groups[l_full] = list(by_counts.values())
-        r_counts = attr_counts(r, g.v_val, g.attrs_v)
+                # N(l1) as an AND of bit rows, counted against the V masks.
+                n = b.all_v
+                for u in l1:
+                    n &= adj_u[u_pos[u]]
+                by_counts.setdefault(tuple(b.v_counts(n)), []).append(l1)
+            groups[l_full] = [
+                (dict(zip(g.attrs_v, c)), l1s) for c, l1s in by_counts.items()
+            ]
+        r_counts = dict(zip(g.attrs_v, b.v_counts(b.v_mask(r))))
         for n_counts, l1s in groups[l_full]:
             if mfs_check(n_counts, r_counts, beta, delta, theta):
                 res.extend((l1, r) for l1 in l1s)

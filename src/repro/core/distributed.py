@@ -10,7 +10,9 @@ C-absorption of FairBCEM++ would have skipped — see
 
 The pruned graph is broadcast; branches are a ``spark.range`` DataFrame fed
 through ``mapInPandas``, i.e. the fan-out stays in the DataFrame API and the
-per-branch kernel runs inside Python workers.
+per-branch kernel runs inside Python workers. The broadcast carries the
+graph without its bit view: each Python worker builds the view once, on its
+first branch, and its later branches reuse it.
 """
 from __future__ import annotations
 

@@ -106,19 +106,19 @@ def mfs_check(
     )
 
 
-def _subsets_of_size(items: Sequence[int], size: int) -> list[frozenset[int]]:
-    return [frozenset(c) for c in itertools.combinations(sorted(items), size)]
-
-
 def combination(
     s: Iterable[int],
-    val: Mapping[int, Hashable],
+    val: Mapping[int, Hashable] | Sequence[Hashable],
     domain: Sequence[Hashable],
     k: int,
     delta: int,
     theta: float | None = None,
 ) -> list[frozenset[int]]:
     """Algorithm 7: all maximal fair subsets of ``s``.
+
+    ``val[x]`` is the value of element ``x``: a mapping from vertex ids, or
+    a sequence when the elements are bit-view positions, whose subsets then
+    come back as frozensets of positions.
 
     Each attribute class contributes exactly ``csize = min(|S_a|, msize +
     delta)`` vertices where ``msize`` is the smallest class size; the result
@@ -139,6 +139,13 @@ def combination(
     cap = msize + delta
     if theta is not None:
         cap = min(cap, math.floor(msize * (1.0 - theta) / theta + 1e-9))
-    per_attr = [_subsets_of_size(by_attr[a], min(len(by_attr[a]), cap)) for a in domain]
-    return [frozenset().union(*combo) for combo in itertools.product(*per_attr)]
+    # Per class, its csize-subsets as index tuples; one frozenset per product.
+    per_attr = [
+        list(itertools.combinations(sorted(by_attr[a]), min(len(by_attr[a]), cap)))
+        for a in domain
+    ]
+    return [
+        frozenset(itertools.chain.from_iterable(combo))
+        for combo in itertools.product(*per_attr)
+    ]
 

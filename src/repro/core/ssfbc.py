@@ -11,7 +11,12 @@ is factored into ``_expand_*`` functions so the distributed layer
 (:mod:`repro.core.distributed`) can run individual top-level branches
 ``(x=order[i], P=order[i+1:], Q=order[:i])`` on Spark workers.
 
-A result is a pair ``(L, R)`` of frozensets (upper side, lower side).
+The engines search on the pruned graph's bit view
+(:class:`repro.graph.bipartite.BitView`): L and R are ``int`` masks, P and Q
+lists of bit positions, |N(v) ∩ L| is ``(adj_v[v] & L).bit_count()``, and
+count vectors are one ``bit_count()`` per attribute mask. A result is a pair
+``(L, R)`` of frozensets of the graph's ids (upper side, lower side), decoded
+from the masks when it is emitted.
 """
 from __future__ import annotations
 
@@ -20,14 +25,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from repro.core.fairset import (
-    _check_theta,
-    attr_counts,
-    combination,
-    is_fair_set,
-    mfs_check,
-)
-from repro.graph.bipartite import BipartiteGraph
+from repro.core.fairset import _check_theta, combination, fair_counts, mfs_check
+from repro.graph.bipartite import BipartiteGraph, positions
 
 Biclique = tuple[frozenset[int], frozenset[int]]
 Ordering = Literal["deg", "id"]
@@ -58,6 +57,10 @@ def order_candidates(
 class _Ctx:
     """Shared search state: the pruned graph, parameters, and the result sink.
 
+    The search runs on the graph's bit view: L is a mask over U positions, R
+    a mask over V positions, and P/Q are lists of V positions. Results are
+    turned back into frozensets of the graph's ids as they are emitted.
+
     With ``theta`` set, fairness means *proportion* fairness and the
     combinatorial expansion uses ``CombinationPro`` — this is how
     FairBCEMPro++ (Sec. III-D) specialises Algorithm 6.
@@ -71,6 +74,9 @@ class _Ctx:
     deadline: float | None = None
     res: list[Biclique] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.bits = self.g.bits
+
     def check_deadline(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise SearchTimeout(
@@ -81,30 +87,25 @@ class _Ctx:
     def domain(self) -> tuple[int, ...]:
         return self.g.attrs_v
 
-    def fair(self, s: Iterable[int]) -> bool:
-        return is_fair_set(
-            s, self.g.v_val, self.domain, self.beta, self.delta, self.theta
-        )
+    def fair(self, r: int) -> bool:
+        return fair_counts(self.bits.v_counts(r), self.beta, self.delta, self.theta)
 
-    def combine(self, s: Iterable[int]) -> list[frozenset[int]]:
-        return combination(
-            s, self.g.v_val, self.domain, self.beta, self.delta, self.theta
-        )
+    def counts(self, r: int) -> dict[int, int]:
+        return dict(zip(self.domain, self.bits.v_counts(r)))
 
-    def counts(self, s: Iterable[int]) -> dict[int, int]:
-        return attr_counts(s, self.g.v_val, self.domain)
-
-    def beta_bound_ok(self, r: Iterable[int], p: Iterable[int]) -> bool:
+    def beta_bound_ok(self, r: int, p: int) -> bool:
         """Observation 5: every attribute can still reach beta from R ∪ P."""
-        rc, pc = self.counts(r), self.counts(p)
-        return all(rc[a] + pc[a] >= self.beta for a in self.domain)
+        return all(n >= self.beta for n in self.bits.v_counts(r | p))
+
+    def emit(self, L: int, R: int) -> None:
+        self.res.append((self.bits.u_set(L), self.bits.v_set(R)))
 
 
 # --------------------------------------------------------------------- FairBCEM
 def _expand_bcem(
     ctx: _Ctx,
-    L: frozenset[int],
-    R: frozenset[int],
+    L: int,
+    R: int,
     P: Sequence[int],
     Q: Sequence[int],
     x: int,
@@ -119,60 +120,62 @@ def _expand_bcem(
     (Q^FC, MFSCheck) that correctness needs is kept.
     Returns the set C of vertices consumed at this level (always ``{x}``).
     """
-    adj = ctx.g.adj_v
-    R1 = R | {x}
+    adj = ctx.bits.adj_v
+    least = ctx.alpha if prune else 1
+    R1 = R | 1 << x
     L1 = L & adj[x]
-    if prune and len(L1) < ctx.alpha:
+    if prune and L1.bit_count() < ctx.alpha:
         return {x}
 
-    q_fc: list[int] = []
+    q_fc = 0
     q_next: list[int] = []
     for u in Q:
-        nu = len(adj[u] & L1)
-        if nu == len(L1) and len(L1) > 0:
-            q_fc.append(u)
-        if (nu >= ctx.alpha) if prune else (nu >= 1):
+        common = adj[u] & L1
+        if common == L1 and L1:
+            q_fc |= 1 << u
+        if common.bit_count() >= least:
             q_next.append(u)
     if prune:
         # Observation 2: a fully-connected visited vertex of every attribute
         # value means no extension of R1 can ever be maximal.
-        fc_attrs = {ctx.g.v_val[u] for u in q_fc}
-        if all(a in fc_attrs for a in ctx.domain):
+        if all(q_fc & m for m in ctx.bits.v_masks):
             return {x}
 
-    p_fc: list[int] = []
+    p_fc = p_mask = 0
     p_next: list[int] = []
     for v in P:
-        nv = len(adj[v] & L1)
-        if nv == len(L1) and len(L1) > 0:
-            p_fc.append(v)
-        if (nv >= ctx.alpha) if prune else (nv >= 1):
+        common = adj[v] & L1
+        if common == L1 and L1:
+            p_fc |= 1 << v
+        if common.bit_count() >= least:
             p_next.append(v)
+            p_mask |= 1 << v
 
-    if prune and set(p_fc) == set(p_next):
+    if prune and p_fc == p_mask:
         # Observation 4: every remaining candidate is fully connected; fold
         # them into R1 wholesale when the union stays fair.
-        if ctx.fair(R1 | set(p_fc)):
-            R1 = R1 | set(p_fc)
-            p_fc, p_next = [], []
+        if ctx.fair(R1 | p_fc):
+            R1 |= p_fc
+            p_fc = p_mask = 0
+            p_next = []
 
-    if len(L1) >= ctx.alpha and ctx.fair(R1):
+    if L1.bit_count() >= ctx.alpha and ctx.fair(R1):
         if mfs_check(
-            ctx.counts(R1 | set(p_fc) | set(q_fc)), ctx.counts(R1),
+            ctx.counts(R1 | p_fc | q_fc), ctx.counts(R1),
             ctx.beta, ctx.delta, ctx.theta,
         ):
-            ctx.res.append((frozenset(L1), frozenset(R1)))
+            ctx.emit(L1, R1)
 
-    if p_next and (not prune or ctx.beta_bound_ok(R1, p_next)):
-        _backtrack(ctx, frozenset(L1), frozenset(R1), p_next, q_next, _expand_bcem, prune=prune)
+    if p_next and (not prune or ctx.beta_bound_ok(R1, p_mask)):
+        _backtrack(ctx, L1, R1, p_next, q_next, _expand_bcem, prune=prune)
     return {x}
 
 
 # ------------------------------------------------------------------- FairBCEM++
 def _expand_bcem_pp(
     ctx: _Ctx,
-    L: frozenset[int],
-    R: frozenset[int],
+    L: int,
+    R: int,
     P: Sequence[int],
     Q: Sequence[int],
     x: int,
@@ -183,42 +186,51 @@ def _expand_bcem_pp(
     whole L-neighbourhood lies inside L1 (they can seed no other maximal
     biclique in this region, Alg. 6 lines 20-21).
     """
-    adj = ctx.g.adj_v
-    R1 = set(R)
-    R1.add(x)
+    adj = ctx.bits.adj_v
     L1 = L & adj[x]
     c = {x}
-    if len(L1) < ctx.alpha:
+    if L1.bit_count() < ctx.alpha:
         return c
 
     q_next: list[int] = []
     for u in Q:
-        nu = len(adj[u] & L1)
-        if nu == len(L1):
+        common = adj[u] & L1
+        if common == L1:
             return c  # (L1, R1) cannot be part of a maximal biclique here
-        if nu >= 1:
+        if common:
             q_next.append(u)
 
+    R1 = R | 1 << x
+    p_mask = 0
     p_next: list[int] = []
     for v in P:
         common = adj[v] & L1
-        if len(common) == len(L1):
-            R1.add(v)
-            if not (adj[v] & L) - L1:
+        if common == L1:
+            R1 |= 1 << v
+            if adj[v] & L == common:
                 c.add(v)
-        elif len(common) >= ctx.alpha:
+        elif common.bit_count() >= ctx.alpha:
             p_next.append(v)
+            p_mask |= 1 << v
 
     # (L1, R1) is now a maximal biclique of the pruned graph with |L1|>=alpha.
     if ctx.fair(R1):
-        ctx.res.append((frozenset(L1), frozenset(R1)))
+        ctx.emit(L1, R1)
     else:
-        for r1 in ctx.combine(R1):
-            if ctx.g.common_neighbors_of_vs(r1) == L1:
-                ctx.res.append((frozenset(L1), r1))
+        b = ctx.bits
+        l_ids = b.u_set(L1)
+        for r1 in combination(
+            positions(R1), b.v_val, ctx.domain, ctx.beta, ctx.delta, ctx.theta
+        ):
+            # Combination's check N(r1) = L1, as an AND of bit rows.
+            n = b.all_u
+            for v in r1:
+                n &= adj[v]
+            if n == L1:
+                ctx.res.append((l_ids, frozenset([b.v_ids[v] for v in r1])))
 
-    if p_next and ctx.beta_bound_ok(R1, p_next):
-        _backtrack(ctx, frozenset(L1), frozenset(R1), p_next, q_next, _expand_bcem_pp)
+    if p_next and ctx.beta_bound_ok(R1, p_mask):
+        _backtrack(ctx, L1, R1, p_next, q_next, _expand_bcem_pp)
     return c
 
 
@@ -277,8 +289,9 @@ def search_ssfbc(
     _check_theta(theta, g_pruned.attrs_v)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta, deadline)
-    p0 = order_candidates(g_pruned, g_pruned.adj_v, ordering)
-    _backtrack(ctx, frozenset(g_pruned.adj_u), frozenset(), p0, [], expand, **kw)
+    pos = ctx.bits.v_pos
+    p0 = [pos[v] for v in order_candidates(g_pruned, g_pruned.adj_v, ordering)]
+    _backtrack(ctx, ctx.bits.all_u, 0, p0, [], expand, **kw)
     return ctx.res
 
 
@@ -303,15 +316,8 @@ def expand_root(
     expand, kw = _engine(algorithm, theta)
     _check_theta(theta, g_pruned.attrs_v)
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta)
-    expand(
-        ctx,
-        frozenset(g_pruned.adj_u),
-        frozenset(),
-        list(order[i + 1:]),
-        list(order[:i]),
-        order[i],
-        **kw,
-    )
+    pos = [ctx.bits.v_pos[v] for v in order]
+    expand(ctx, ctx.bits.all_u, 0, pos[i + 1:], pos[:i], pos[i], **kw)
     return ctx.res
 
 

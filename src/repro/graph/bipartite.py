@@ -3,9 +3,17 @@
 Two representations:
 
 - **Local** (:class:`BipartiteGraph`): adjacency dicts + attribute maps on
-  the driver. Used by the branch-and-bound kernels (which are sequential per
-  search subtree) and by the exact O(E) peeling of :mod:`repro.core.fcore`,
-  which builds numpy edge arrays from the dicts on every call.
+  the driver. Used by the exact O(E) peeling of :mod:`repro.core.fcore`,
+  which builds numpy edge arrays from the dicts on every call. Its bit view
+  (:class:`BitView`, ``g.bits``) is what the branch-and-bound kernels of
+  :mod:`repro.core.ssfbc` and :mod:`repro.core.bsfbc` search on: each side's
+  vertices get positions 0..n-1 and a vertex set is a Python ``int`` with one
+  bit per position, so intersections are ``&`` and sizes ``int.bit_count()``.
+  The view is built on first use, once per graph object and process, and is
+  never pickled. Its rows hold at most ``ceil(|U|/8)·|V| + ceil(|V|/8)·|U|``
+  bytes of bits, plus CPython's 28-byte header per row. Measured: 45 KiB of
+  rows on imdb-lite's 677-vertex pruned core, 7.0 MiB on the unpruned
+  18,535 × 1,829 wikicat-lite graph of Exp-4 (DESIGN.md §1).
 - **DataFrame**: three DataFrames ``edges(u, v)``, ``u_attrs(u, val)``,
   ``v_attrs(v, val)`` — the distributed-dataflow representation that the
   DataFrame FCore/BFCore peel (:mod:`repro.core.fcore_df`) operates on.
@@ -18,11 +26,98 @@ value no longer occurs in it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+
+
+def positions(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(ps: Iterable[int]) -> int:
+    m = 0
+    for p in ps:
+        m |= 1 << p
+    return m
+
+
+@dataclass(frozen=True)
+class BitView:
+    """A :class:`BipartiteGraph` relabelled to bit positions.
+
+    Each side's vertices get positions 0..n-1 in increasing id order
+    (``u_ids``/``v_ids`` map a position back to its id, ``u_pos``/``v_pos``
+    an id to its position). A vertex set is an ``int`` whose bit ``i`` stands
+    for the vertex at position ``i``: ``adj_u[i]`` is upper vertex ``i``'s
+    neighbourhood over V positions, ``adj_v[j]`` lower vertex ``j``'s over U
+    positions. ``v_val`` gives each lower position's attribute value and
+    ``u_masks``/``v_masks`` hold one mask per value of ``attrs_u``/``attrs_v``,
+    in domain order, so a set's count vector is one ``bit_count`` per value.
+    ``all_u``/``all_v`` are the masks of a whole side.
+    """
+
+    u_ids: tuple[int, ...]
+    v_ids: tuple[int, ...]
+    u_pos: Mapping[int, int]
+    v_pos: Mapping[int, int]
+    adj_u: tuple[int, ...]
+    adj_v: tuple[int, ...]
+    v_val: tuple[int, ...]
+    u_masks: tuple[int, ...]
+    v_masks: tuple[int, ...]
+    all_u: int
+    all_v: int
+
+    @staticmethod
+    def of(g: "BipartiteGraph") -> "BitView":
+        """Build the view of ``g``; callers use the cached ``g.bits``."""
+        u_ids, v_ids = tuple(sorted(g.adj_u)), tuple(sorted(g.adj_v))
+        u_pos = {u: i for i, u in enumerate(u_ids)}
+        v_pos = {v: j for j, v in enumerate(v_ids)}
+        u_val = tuple(g.u_val[u] for u in u_ids)
+        v_val = tuple(g.v_val[v] for v in v_ids)
+        return BitView(
+            u_ids=u_ids,
+            v_ids=v_ids,
+            u_pos=u_pos,
+            v_pos=v_pos,
+            adj_u=tuple(_mask(v_pos[v] for v in g.adj_u[u]) for u in u_ids),
+            adj_v=tuple(_mask(u_pos[u] for u in g.adj_v[v]) for v in v_ids),
+            v_val=v_val,
+            u_masks=tuple(_mask(i for i, x in enumerate(u_val) if x == a) for a in g.attrs_u),
+            v_masks=tuple(_mask(j for j, x in enumerate(v_val) if x == a) for a in g.attrs_v),
+            all_u=(1 << len(u_ids)) - 1,
+            all_v=(1 << len(v_ids)) - 1,
+        )
+
+    def u_set(self, mask: int) -> frozenset[int]:
+        """The upper vertex ids of ``mask``."""
+        ids = self.u_ids
+        return frozenset([ids[i] for i in positions(mask)])
+
+    def v_set(self, mask: int) -> frozenset[int]:
+        """The lower vertex ids of ``mask``."""
+        ids = self.v_ids
+        return frozenset([ids[j] for j in positions(mask)])
+
+    def v_mask(self, vs: Iterable[int]) -> int:
+        """The mask of the lower vertex ids ``vs``."""
+        pos = self.v_pos
+        return _mask(pos[v] for v in vs)
+
+    def v_counts(self, mask: int) -> list[int]:
+        """``|S_a|`` for every value ``a`` of ``attrs_v``, S the lower set ``mask``."""
+        return [(mask & m).bit_count() for m in self.v_masks]
 
 
 @dataclass(frozen=True)
@@ -42,6 +137,17 @@ class BipartiteGraph:
     v_val: Mapping[int, int]
     attrs_u: tuple[int, ...]
     attrs_v: tuple[int, ...]
+
+    @cached_property
+    def bits(self) -> BitView:
+        """The graph's :class:`BitView`, built on first use."""
+        return BitView.of(self)
+
+    def __getstate__(self) -> dict:
+        # The bit view is rebuilt where it is used, not shipped.
+        state = dict(self.__dict__)
+        state.pop("bits", None)
+        return state
 
     # ---------------------------------------------------------------- build
     @staticmethod
@@ -119,28 +225,6 @@ class BipartiteGraph:
         """|E| / (|U| * |V|) — the bipartite edge density reported in Table I."""
         denom = self.n_u * self.n_v
         return self.n_edges / denom if denom else 0.0
-
-    def common_neighbors_of_vs(self, vs: Iterable[int]) -> frozenset[int]:
-        """``N(S)`` for a lower-side set S: upper vertices adjacent to *all* of S."""
-        it = iter(vs)
-        try:
-            acc = set(self.adj_v[next(it)])
-        except StopIteration:
-            return frozenset(self.adj_u)
-        for v in it:
-            acc &= self.adj_v[v]
-        return frozenset(acc)
-
-    def common_neighbors_of_us(self, us: Iterable[int]) -> frozenset[int]:
-        """``N(S)`` for an upper-side set S: lower vertices adjacent to *all* of S."""
-        it = iter(us)
-        try:
-            acc = set(self.adj_u[next(it)])
-        except StopIteration:
-            return frozenset(self.adj_v)
-        for u in it:
-            acc &= self.adj_u[u]
-        return frozenset(acc)
 
     def induced(self, us: Iterable[int], vs: Iterable[int]) -> "BipartiteGraph":
         """Induced subgraph on vertex sets ``us`` / ``vs`` (attribute domains kept)."""

@@ -49,6 +49,38 @@ def is_biclique(g: BipartiteGraph, us: Iterable[int], vs: Iterable[int]) -> bool
     return all(vs <= g.adj_u[u] for u in us)
 
 
+def common_neighbors_of_vs(g: BipartiteGraph, vs: Iterable[int]) -> frozenset[int]:
+    """``N(S)`` for a lower-side set S: upper vertices adjacent to *all* of S.
+
+    N(∅) is the whole upper side.
+    """
+    acc = frozenset(g.adj_u)
+    for v in vs:
+        acc &= g.adj_v[v]
+    return acc
+
+
+def common_neighbors_of_us(g: BipartiteGraph, us: Iterable[int]) -> frozenset[int]:
+    """``N(S)`` for an upper-side set S: lower vertices adjacent to *all* of S."""
+    acc = frozenset(g.adj_v)
+    for u in us:
+        acc &= g.adj_u[u]
+    return acc
+
+
+def relabelled(g: BipartiteGraph) -> BipartiteGraph:
+    """``g`` with large, non-contiguous ids on both sides."""
+    nu = {u: 10**12 + 7919 * i for i, u in enumerate(sorted(g.adj_u, reverse=True))}
+    nv = {v: 2**40 - 104729 * i for i, v in enumerate(sorted(g.adj_v))}
+    return BipartiteGraph.from_edges(
+        [(nu[u], nv[v]) for u, vs in g.adj_u.items() for v in vs],
+        {nu[u]: a for u, a in g.u_val.items()},
+        {nv[v]: a for v, a in g.v_val.items()},
+        attrs_u=g.attrs_u,
+        attrs_v=g.attrs_v,
+    )
+
+
 def is_proper_coloring(adj: Mapping[int, Iterable[int]], color: Mapping[int, int]) -> bool:
     """True iff no edge of the undirected graph ``adj`` is monochromatic."""
     return all(color[v] != color[w] for v in adj for w in adj[v])
@@ -92,7 +124,7 @@ def brute_ssfbc(
             s = frozenset(combo)
             if not is_fair_set(s, g.v_val, g.attrs_v, beta, delta, theta):
                 continue
-            l = g.common_neighbors_of_vs(s)
+            l = common_neighbors_of_vs(g, s)
             if len(l) >= alpha:
                 cands[s] = l
     out: set[Biclique] = set()
@@ -117,7 +149,7 @@ def brute_bsfbc(
             s = frozenset(combo)
             if not is_fair_set(s, g.v_val, g.attrs_v, beta, delta, theta):
                 continue
-            cand_u = sorted(g.common_neighbors_of_vs(s))
+            cand_u = sorted(common_neighbors_of_vs(g, s))
             for ru in range(1, len(cand_u) + 1):
                 for cu in itertools.combinations(cand_u, ru):
                     a = frozenset(cu)
@@ -143,8 +175,8 @@ def brute_maximal_bicliques(
     for r in range(1, len(vs) + 1):
         for combo in itertools.combinations(vs, r):
             s = frozenset(combo)
-            l = g.common_neighbors_of_vs(s)
-            if l and g.common_neighbors_of_us(l) == s:
+            l = common_neighbors_of_vs(g, s)
+            if l and common_neighbors_of_us(g, l) == s:
                 cands[s] = l
     return {
         (l, s)

@@ -61,12 +61,27 @@ def test_unknown_vertex_rejected():
 
 
 def test_common_neighbors(g4):
-    assert g4.common_neighbors_of_vs([0, 1]) == frozenset({0})
-    assert g4.common_neighbors_of_vs([1]) == frozenset({0, 1})
-    assert g4.common_neighbors_of_vs([0, 2]) == frozenset()
-    assert g4.common_neighbors_of_us([0, 1]) == frozenset({1})
+    """N(S) as an AND of bit-view rows, decoded back to ids."""
+    b = g4.bits
+
+    def n_of_vs(vs):
+        m = b.all_u
+        for v in vs:
+            m &= b.adj_v[b.v_pos[v]]
+        return b.u_set(m)
+
+    def n_of_us(us):
+        m = b.all_v
+        for u in us:
+            m &= b.adj_u[b.u_pos[u]]
+        return b.v_set(m)
+
+    assert n_of_vs([0, 1]) == frozenset({0})
+    assert n_of_vs([1]) == frozenset({0, 1})
+    assert n_of_vs([0, 2]) == frozenset()
+    assert n_of_us([0, 1]) == frozenset({1})
     # Empty set convention: N(∅) is the whole other side.
-    assert g4.common_neighbors_of_vs([]) == frozenset(g4.adj_u)
+    assert n_of_vs([]) == frozenset(g4.adj_u)
 
 
 def test_induced(g4):

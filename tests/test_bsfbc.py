@@ -1,4 +1,5 @@
 """BSFBC enumeration vs brute force; Observation 6; structural validity."""
+import pickle
 import time
 from collections import Counter
 
@@ -7,11 +8,21 @@ import pytest
 from repro.core.bsfbc import expand_to_bsfbc, search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
 from repro.core.fairset import attr_counts, combination, is_fair_set, mfs_check
-from repro.core.ssfbc import SearchTimeout, search_ssfbc
+from repro.core.ssfbc import SearchTimeout, expand_root, order_candidates, search_ssfbc
+from repro.graph.bipartite import BitView
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
-from tests.oracles import brute_bsfbc, brute_ssfbc, is_biclique
+from tests.oracles import (
+    brute_bsfbc,
+    brute_ssfbc,
+    common_neighbors_of_us,
+    is_biclique,
+    relabelled,
+)
 
 PARAM_GRID = [(1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2), (1, 1, 0)]
+ALGOS = ["bcem", "bcem_pp", "nsf"]
+# (algorithm, theta, values per side): theta needs bcem_pp and two values.
+LARGE_ID_CASES = [(a, None, n) for a in ALGOS for n in (2, 3)] + [("bcem_pp", 0.4, 2)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -36,12 +47,55 @@ def test_three_valued_domains_match_bruteforce(seed, alpha, beta, delta, algo):
     assert set(got) == truth
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("algo,theta,n_attrs", LARGE_ID_CASES)
+def test_large_ids_match_bruteforce(seed, algo, theta, n_attrs):
+    """Ids >= 2**40, not contiguous: the bit view's positions map back to
+    them, and expanding each root's branch separately gives the same set."""
+    g = relabelled(random_bipartite(7, 7, 0.8, n_attrs_u=n_attrs, n_attrs_v=n_attrs, seed=seed))
+    truth = brute_bsfbc(g, 1, 1, 1, theta)
+    gp = bcfcore(g, 1, 1)
+    got = search_bsfbc(gp, 1, 1, 1, algorithm=algo, theta=theta)
+    assert len(got) == len(set(got)), "duplicate results"
+    assert set(got) == truth
+    order = order_candidates(gp, gp.adj_v, "deg")
+    roots = set()
+    for i in range(len(order)):
+        ssfbcs = expand_root(gp, 1, 1, 1, order, i, algorithm=algo, theta=theta)
+        roots |= set(expand_to_bsfbc(gp, ssfbcs, 1, 1, 1, theta))
+    assert roots == truth
+
+
+def test_one_bit_view_per_graph(monkeypatch):
+    """Every root's branch and expansion on one pruned graph (what one Spark
+    worker runs) build its bit view once, and pickling leaves it out."""
+    g = planted_bipartite(
+        PlantedSpec(n_u=120, n_v=90, n_background=300, n_blocks=6, block_u=8, block_v=8),
+        seed=0,
+    )
+    gp = bcfcore(g, 2, 2)
+    shipped = len(pickle.dumps(gp))
+    builds = []
+    build = BitView.of
+    monkeypatch.setattr(BitView, "of", staticmethod(lambda h: builds.append(h) or build(h)))
+    order = order_candidates(gp, gp.adj_v, "deg")
+    n_results = 0
+    for algo in ALGOS:
+        for i in range(len(order)):
+            ssfbcs = expand_root(gp, 2, 2, 1, order, i, algorithm=algo)
+            n_results += len(expand_to_bsfbc(gp, ssfbcs, 2, 2, 1))
+    assert n_results > 0
+    assert builds == [gp]
+    assert len(pickle.dumps(gp)) == shipped
+    assert pickle.loads(pickle.dumps(gp)) == gp
+
+
 def _per_subset_expansion(g, ssfbcs, alpha, beta, delta, theta):
     """Reference: Algorithm 9 lines 4-8 literally, one MFSCheck per subset l'."""
     res = []
     for l_full, r in ssfbcs:
         for l1 in combination(l_full, g.u_val, g.attrs_u, alpha, delta, theta):
-            n_l1 = g.common_neighbors_of_us(l1)
+            n_l1 = common_neighbors_of_us(g, l1)
             if mfs_check(
                 attr_counts(n_l1, g.v_val, g.attrs_v), attr_counts(r, g.v_val, g.attrs_v),
                 beta, delta, theta,

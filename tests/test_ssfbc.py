@@ -11,7 +11,17 @@ from repro.core.ssfbc import (
     search_ssfbc,
 )
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
-from tests.oracles import brute_maximal_bicliques, brute_ssfbc, is_biclique
+from tests.oracles import (
+    brute_maximal_bicliques,
+    brute_ssfbc,
+    common_neighbors_of_vs,
+    is_biclique,
+    relabelled,
+)
+
+ALGOS = ["bcem", "bcem_pp", "nsf"]
+# (algorithm, theta, values per side): theta needs bcem_pp and two values.
+LARGE_ID_CASES = [(a, None, n) for a in ALGOS for n in (2, 3)] + [("bcem_pp", 0.4, 2)]
 
 PARAM_GRID = [(1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 0), (2, 2, 2), (3, 1, 1)]
 
@@ -25,6 +35,24 @@ def test_matches_bruteforce(seed, alpha, beta, delta, algo):
     got = search_ssfbc(cfcore(g, alpha, beta), alpha, beta, delta, algorithm=algo)
     assert len(got) == len(set(got)), "duplicate results"
     assert set(got) == truth
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("algo,theta,n_attrs", LARGE_ID_CASES)
+def test_large_ids_match_bruteforce(seed, algo, theta, n_attrs):
+    """Ids >= 2**40, not contiguous: the bit view's positions map back to
+    them, and the union of the per-root branches is the whole search."""
+    g = relabelled(random_bipartite(6, 6, 0.6, n_attrs_u=n_attrs, n_attrs_v=n_attrs, seed=seed))
+    truth = brute_ssfbc(g, 1, 1, 1, theta)
+    gp = cfcore(g, 1, 1)
+    got = search_ssfbc(gp, 1, 1, 1, algorithm=algo, theta=theta)
+    assert len(got) == len(set(got)), "duplicate results"
+    assert set(got) == truth
+    order = order_candidates(gp, gp.adj_v, "deg")
+    roots = set()
+    for i in range(len(order)):
+        roots |= set(expand_root(gp, 1, 1, 1, order, i, algorithm=algo, theta=theta))
+    assert roots == truth
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -86,7 +114,7 @@ def test_results_are_valid_ssfbcs(seed):
         assert len(l) >= alpha
         assert is_biclique(gp, l, r)
         assert is_fair_set(r, gp.v_val, gp.attrs_v, beta, delta)
-        assert gp.common_neighbors_of_vs(r) == l, "L must be the full common neighbourhood"
+        assert common_neighbors_of_vs(gp, r) == l, "L must be the full common neighbourhood"
 
 
 def test_fair_bcem_end_to_end():
