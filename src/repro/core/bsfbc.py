@@ -32,18 +32,19 @@ def expand_to_bsfbc(
     """Algorithm 9 lines 4-8: SSFBCs -> BSFBCs via Combination on the upper side.
 
     With ``theta`` this is the BFairBCEMPro++ expansion (CombinationPro and a
-    ratio-aware MFSCheck, Sec. IV-C). Past ``deadline`` (a
-    ``time.perf_counter()`` value) it raises :class:`SearchTimeout`.
+    ratio-aware MFSCheck, Sec. IV-C), theta in (0, 1/|A|] on both sides. Past
+    ``deadline`` (a ``time.perf_counter()`` value) it raises
+    :class:`SearchTimeout`.
 
     MFSCheck(N(l'), R) depends only on the count vectors of N(l') and R,
     because R ⊆ N(L) ⊆ N(l'). So each distinct L is expanded once, its
-    subsets l' grouped by the count vector of N(l'), and each group is
-    checked once per SSFBC.
+    subsets l' grouped by the count vector of N(l') (a ``v_counts`` tuple),
+    and each group is checked once per SSFBC.
     """
     _check_theta(theta, g.attrs_u, g.attrs_v)
     b = g.bits
     adj_u, u_pos = b.adj_u, b.u_pos
-    groups: dict[frozenset[int], list[tuple[dict, list[frozenset[int]]]]] = {}
+    groups: dict[frozenset[int], list[tuple[tuple[int, ...], list[frozenset[int]]]]] = {}
     res: list[Biclique] = []
     for l_full, r in ssfbcs:
         if deadline is not None and time.perf_counter() > deadline:
@@ -55,11 +56,9 @@ def expand_to_bsfbc(
                 n = b.all_v
                 for u in l1:
                     n &= adj_u[u_pos[u]]
-                by_counts.setdefault(tuple(b.v_counts(n)), []).append(l1)
-            groups[l_full] = [
-                (dict(zip(g.attrs_v, c)), l1s) for c, l1s in by_counts.items()
-            ]
-        r_counts = dict(zip(g.attrs_v, b.v_counts(b.v_mask(r))))
+                by_counts.setdefault(b.v_counts(n), []).append(l1)
+            groups[l_full] = list(by_counts.items())
+        r_counts = b.v_counts(b.v_mask(r))
         for n_counts, l1s in groups[l_full]:
             if mfs_check(n_counts, r_counts, beta, delta, theta):
                 res.extend((l1, r) for l1 in l1s)
@@ -82,8 +81,8 @@ def search_bsfbc(
 
     ``algorithm`` selects the SSFBC engine: ``"bcem"`` gives BFairBCEM,
     ``"bcem_pp"`` gives BFairBCEM++, ``"nsf"`` gives BNSF. ``theta`` gives
-    BFairBCEMPro++ (``"bcem_pp"`` only, theta in (0, 0.5], at most two
-    attribute values on each side). ``time_budget_s`` bounds the SSFBC
+    BFairBCEMPro++ (``"bcem_pp"`` only, theta in (0, 1/|A|] for the
+    attribute domain A of each side). ``time_budget_s`` bounds the SSFBC
     search and the expansion together: past it, :class:`SearchTimeout`.
     """
     _check_theta(theta, g_pruned.attrs_u, g_pruned.attrs_v)

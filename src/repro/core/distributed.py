@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.fairset import _check_theta
 from repro.core.ssfbc import Algorithm, Ordering, _engine, order_candidates
 from repro.graph.bipartite import BipartiteGraph
 
@@ -40,14 +39,14 @@ def enumerate_df(
     """Distributed enumeration; returns a DataFrame of (l, r) id-arrays.
 
     ``model`` is ``"ssfbc"`` or ``"bsfbc"``; with ``theta`` set these become
-    the proportion models (PSSFBC / PBSFBC). A bad ``algorithm`` or
-    ``theta`` is rejected here, on the driver, before any Spark job runs.
+    the proportion models (PSSFBC / PBSFBC), theta in (0, 1/|A|] on each
+    attribute domain it applies to (V, and U for ``"bsfbc"``). A bad
+    ``algorithm`` or ``theta`` is rejected here, on the driver, before any
+    Spark job runs.
     """
     if model not in ("ssfbc", "bsfbc"):
         raise ValueError(f"unknown model {model!r}")
-    _engine(algorithm, theta)
-    both = model == "bsfbc"
-    _check_theta(theta, g_pruned.attrs_v, *([g_pruned.attrs_u] if both else []))
+    _engine(algorithm, theta, g_pruned.attrs_v, *([g_pruned.attrs_u] if model == "bsfbc" else []))
     order = order_candidates(g_pruned, g_pruned.adj_v, ordering)
     n = len(order)
     payload = spark.sparkContext.broadcast(

@@ -1,109 +1,103 @@
-"""Fair sets, maximal fair subsets, and their combinatorial enumeration.
+"""Fair sets and their maximal fair subsets, decided on count vectors.
 
-Implements Definition 11 (fair set), Definition 12 / Algorithm 4
-(``MFSCheck``) and Algorithm 7 (``Combination``). An optional ``theta``
-turns each into its proportion variant (Definition 5, ``CombinationPro`` of
-Sec. III-D).
-
-Fairness depends only on a set's count vector, one count per attribute
-value: :func:`fair_counts` decides it, and :func:`mfs_check` works on the
-count vectors of a set and its candidate subset. :func:`is_fair_set` and
-:func:`combination` take an attributed set: any iterable of vertex ids
-together with a ``val`` mapping and an explicit attribute domain — the
-fairness definitions quantify over the *full* domain, so an attribute value
-with zero members makes the set unfair whenever the size threshold is >= 1.
+Fairness (Definition 11; with ``theta``, Definition 5) depends only on a
+set's count vector, one count per value of the full attribute domain — a
+value with no members counts 0, so it makes the set unfair whenever
+``k >= 1``. So everything here reads one list of count vectors,
+:func:`maximal_fair_vectors`, the maximal fair vectors below a set's
+counts: :func:`fair_counts`, :func:`mfs_check` (Algorithm 4) and
+:func:`combination` (Algorithm 7; CombinationPro of Sec. III-D with
+``theta``).
 """
 from __future__ import annotations
 
-import itertools
-import math
-from collections import Counter
+from functools import lru_cache
+from itertools import chain, combinations, product
 from typing import Hashable, Iterable, Mapping, Sequence
-
-
-def attr_counts(
-    s: Iterable[int], val: Mapping[int, Hashable], domain: Sequence[Hashable]
-) -> dict[Hashable, int]:
-    """Per-attribute-value cardinalities ``|S_{a_i}|`` over the full domain."""
-    c = Counter(val[x] for x in s)
-    return {a: c.get(a, 0) for a in domain}
 
 
 def fair_counts(c: Sequence[int], k: int, delta: int, theta: float | None = None) -> bool:
     """Definition 11 on a count vector ``c`` (one count per attribute value):
-    every count >= k and pairwise diffs <= delta.
-
-    With ``theta`` set, also Definition 5 condition (3): every ratio
-    ``c_a / sum(c)`` is >= theta (proportion fairness).
+    every count >= k and pairwise diffs <= delta; with ``theta``, also
+    Definition 5's ratios ``c_a / sum(c) >= theta``. ``c`` is fair iff it
+    is its own maximal fair vector (:func:`maximal_fair_vectors`).
     """
-    lo = min(c)
-    if lo < k or max(c) - lo > delta:
-        return False
-    if theta is None:
-        return True
-    total = sum(c)
-    # An empty set (reachable only for k == 0) has no ratio to violate.
-    return total == 0 or lo / total >= theta
-
-
-def is_fair_set(
-    s: Iterable[int],
-    val: Mapping[int, Hashable],
-    domain: Sequence[Hashable],
-    k: int,
-    delta: int,
-    theta: float | None = None,
-) -> bool:
-    """Definition 11 (and, with ``theta``, Definition 5) on the set ``s``."""
-    return fair_counts(list(attr_counts(s, val, domain).values()), k, delta, theta)
+    return tuple(c) in maximal_fair_vectors(tuple(c), k, delta, theta)
 
 
 def _check_theta(theta: float | None, *domains: Sequence[Hashable]) -> None:
-    """Raise ValueError for a theta the proportion models cannot answer.
+    """Raise ValueError unless theta is None or in (0, 1/|A|] for every
+    attribute domain A it applies to.
 
-    That is a theta outside (0, 0.5], or one set on an attribute domain of
-    more than two values: the ratio cap of :func:`combination` holds only
-    for two classes.
+    Above 1/|A| no nonempty set is proportion fair: its smallest class holds
+    at most 1/|A| of it.
     """
     if theta is None:
         return
-    if not 0 < theta <= 0.5:
-        raise ValueError(f"theta must be in (0, 0.5], got {theta}")
-    if any(len(d) > 2 for d in domains):
-        raise ValueError("theta requires attribute domains of at most two values")
+    bound = 1 / max(1, *map(len, domains))
+    if not 0 < theta <= bound:
+        raise ValueError(f"theta must be in (0, {bound:g}] on these attribute domains, got {theta}")
+
+
+def _spread(total: int, room: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every vector ``e`` with ``0 <= e_a <= room[a]`` and ``sum(e) == total``,
+    for ``0 <= total <= sum(room)``."""
+    if not room:
+        return [()]
+    rest = sum(room[1:])
+    return [
+        (x, *tail)
+        for x in range(max(0, total - rest), min(room[0], total) + 1)
+        for tail in _spread(total - x, room[1:])
+    ]
+
+
+@lru_cache(maxsize=1 << 14)
+def maximal_fair_vectors(
+    n: tuple[int, ...], k: int, delta: int, theta: float | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The maximal fair count vectors ``c <= n``.
+
+    A subset of a set with counts ``n`` is a maximal fair subset iff its
+    count vector is one of these. With ``m = min(n)`` every one has minimum
+    ``m``: raising each smallest count of a fair vector by one keeps it fair
+    while its minimum is below ``m``, since ``theta * |A| <= 1`` keeps the
+    ratio. So they are the maximal vectors of the box ``c_a in [m,
+    min(n_a, m + delta)]`` whose sum is at most the largest ``s`` with
+    ``m / s >= theta``: the box's upper corner if it fits, else the box's
+    vectors of sum exactly ``s``. Without ``theta`` that is the one corner.
+    """
+    _check_theta(theta, n)
+    m = min(n)
+    if m < k:
+        return ()
+    hi = [min(x, m + delta) for x in n]
+    if theta is not None:
+        cap = int(m / theta) + 1
+        while cap and m / cap < theta:
+            cap -= 1
+        if cap < sum(hi):
+            excess = _spread(cap - m * len(n), [h - m for h in hi])
+            return tuple(tuple(m + e for e in es) for es in excess)
+    return (tuple(hi),)
 
 
 def mfs_check(
-    counts: Mapping[Hashable, int],
-    hat_counts: Mapping[Hashable, int],
+    counts: Sequence[int],
+    hat_counts: Sequence[int],
     k: int,
     delta: int,
     theta: float | None = None,
 ) -> bool:
     """Algorithm 4: is ``s_hat`` a maximal fair subset of ``s``?
 
-    Takes the count vectors of ``s`` and of ``s_hat ⊆ s``, as
-    :func:`attr_counts` returns them: the answer depends on nothing else.
-    With ``theta`` set, fairness means *proportion* fairness (used by the
-    Pro variants, which must re-check the ratio constraint per the paper's
-    Sec. IV-C note).
-
-    Faithful to the pseudo-code: (1) fail if ``s_hat`` is not fair; (2) fail
-    if every attribute still has spare vertices in ``s - s_hat`` (then one
-    vertex per attribute can be added, which keeps all pairwise differences
-    and, for theta <= 0.5, every ratio); (3) fail if any single spare vertex
-    can be added while keeping fairness.
+    Takes the count vectors of ``s`` and of ``s_hat ⊆ s`` as tuples, one
+    count per attribute value: the answer depends on nothing else. It is
+    "is ``s_hat``'s vector one of :func:`maximal_fair_vectors` of ``s``'s".
+    With ``theta`` set, fairness means *proportion* fairness (the Pro
+    variants re-check the ratio constraint, the paper's Sec. IV-C note).
     """
-    hat = list(hat_counts.values())
-    if not fair_counts(hat, k, delta, theta):
-        return False
-    spare = [counts[a] > n for a, n in hat_counts.items()]
-    if all(spare):
-        return False
-    return not any(
-        fair_counts(hat[:i] + [hat[i] + 1] + hat[i + 1:], k, delta, theta)
-        for i, has_spare in enumerate(spare) if has_spare
-    )
+    return tuple(hat_counts) in maximal_fair_vectors(tuple(counts), k, delta, theta)
 
 
 def combination(
@@ -120,32 +114,19 @@ def combination(
     a sequence when the elements are bit-view positions, whose subsets then
     come back as frozensets of positions.
 
-    Each attribute class contributes exactly ``csize = min(|S_a|, msize +
-    delta)`` vertices where ``msize`` is the smallest class size; the result
-    is the cross-product of all csize-subsets per class. Returns [] if some
-    class is below ``k``.
-
-    With ``theta`` set this is CombinationPro (Sec. III-D), the maximal
-    *proportion* fair subsets: ``csize`` is also capped at ``floor(msize *
-    (1 - theta) / theta)``, derived from ``msize / (msize + csize) >= theta``.
+    The result is one cross product per vector ``c`` of
+    :func:`maximal_fair_vectors` of the class sizes: every choice of ``c_a``
+    members of each class ``a``. Without ``theta`` there is one such vector,
+    ``min(|S_a|, msize + delta)`` per class for the smallest class size
+    ``msize``; with ``theta`` (CombinationPro, Sec. III-D) there may be
+    several. Returns [] if some class is below ``k``.
     """
-    _check_theta(theta, domain)
     by_attr: dict[Hashable, list[int]] = {a: [] for a in domain}
     for x in s:
         by_attr[val[x]].append(x)
-    if any(len(by_attr[a]) < k for a in domain):
-        return []
-    msize = min(len(by_attr[a]) for a in domain)
-    cap = msize + delta
-    if theta is not None:
-        cap = min(cap, math.floor(msize * (1.0 - theta) / theta + 1e-9))
-    # Per class, its csize-subsets as index tuples; one frozenset per product.
-    per_attr = [
-        list(itertools.combinations(sorted(by_attr[a]), min(len(by_attr[a]), cap)))
-        for a in domain
-    ]
+    classes = [sorted(by_attr[a]) for a in domain]
     return [
-        frozenset(itertools.chain.from_iterable(combo))
-        for combo in itertools.product(*per_attr)
+        frozenset(chain.from_iterable(combo))
+        for c in maximal_fair_vectors(tuple(map(len, classes)), k, delta, theta)
+        for combo in product(*map(combinations, classes, c))
     ]
-

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
 from repro.core.fairset import _check_theta, combination, fair_counts, mfs_check
+from repro.core.fcore import fcore
 from repro.graph.bipartite import BipartiteGraph, positions
 
 Biclique = tuple[frozenset[int], frozenset[int]]
@@ -63,7 +64,8 @@ class _Ctx:
 
     With ``theta`` set, fairness means *proportion* fairness and the
     combinatorial expansion uses ``CombinationPro`` — this is how
-    FairBCEMPro++ (Sec. III-D) specialises Algorithm 6.
+    FairBCEMPro++ (Sec. III-D) specialises Algorithm 6. Fairness, MFSCheck
+    and Combination all read count vectors, ``bits.v_counts`` tuples.
     """
 
     g: BipartiteGraph
@@ -83,15 +85,8 @@ class _Ctx:
                 f"search exceeded its time budget ({len(self.res)} results so far)"
             )
 
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return self.g.attrs_v
-
     def fair(self, r: int) -> bool:
         return fair_counts(self.bits.v_counts(r), self.beta, self.delta, self.theta)
-
-    def counts(self, r: int) -> dict[int, int]:
-        return dict(zip(self.domain, self.bits.v_counts(r)))
 
     def beta_bound_ok(self, r: int, p: int) -> bool:
         """Observation 5: every attribute can still reach beta from R ∪ P."""
@@ -161,7 +156,7 @@ def _expand_bcem(
 
     if L1.bit_count() >= ctx.alpha and ctx.fair(R1):
         if mfs_check(
-            ctx.counts(R1 | p_fc | q_fc), ctx.counts(R1),
+            ctx.bits.v_counts(R1 | p_fc | q_fc), ctx.bits.v_counts(R1),
             ctx.beta, ctx.delta, ctx.theta,
         ):
             ctx.emit(L1, R1)
@@ -220,7 +215,7 @@ def _expand_bcem_pp(
         b = ctx.bits
         l_ids = b.u_set(L1)
         for r1 in combination(
-            positions(R1), b.v_val, ctx.domain, ctx.beta, ctx.delta, ctx.theta
+            positions(R1), b.v_val, ctx.g.attrs_v, ctx.beta, ctx.delta, ctx.theta
         ):
             # Combination's check N(r1) = L1, as an AND of bit rows.
             n = b.all_u
@@ -243,12 +238,14 @@ _ENGINES = {
 }
 
 
-def _engine(algorithm: str, theta: float | None):
-    """The expand step of ``algorithm``; ``theta`` (the Pro model) needs ``bcem_pp``."""
+def _engine(algorithm: str, theta: float | None, *domains: Sequence[int]):
+    """The expand step of ``algorithm``; ``theta`` (the Pro model) needs
+    ``bcem_pp`` and a value in (0, 1/|A|] on each of ``domains``."""
     if algorithm not in _ENGINES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if theta is not None and algorithm != "bcem_pp":
         raise ValueError("theta (Pro model) requires algorithm='bcem_pp'")
+    _check_theta(theta, *domains)
     return _ENGINES[algorithm]
 
 
@@ -280,13 +277,12 @@ def search_ssfbc(
     ``g_pruned`` should come from :func:`repro.core.cfcore.cfcore` (or the
     Spark pipeline); running on an unpruned graph is valid, just slower.
     ``theta`` is only supported with ``algorithm="bcem_pp"`` (the paper's
-    FairBCEMPro++ is defined as a modification of Algorithm 6), in (0, 0.5]
-    and with at most two V attribute values. With
-    ``time_budget_s`` the search raises :class:`SearchTimeout` once the
-    budget elapses (the paper's 24h "INF" convention, scaled).
+    FairBCEMPro++ is defined as a modification of Algorithm 6), in
+    (0, 1/|A(V)|]. With ``time_budget_s`` the search raises
+    :class:`SearchTimeout` once the budget elapses (the paper's 24h "INF"
+    convention, scaled).
     """
-    expand, kw = _engine(algorithm, theta)
-    _check_theta(theta, g_pruned.attrs_v)
+    expand, kw = _engine(algorithm, theta, g_pruned.attrs_v)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta, deadline)
     pos = ctx.bits.v_pos
@@ -313,8 +309,7 @@ def expand_root(
     Q-maximality check discards branches the sequential C-absorption would
     have skipped, so the union over i equals the sequential result).
     """
-    expand, kw = _engine(algorithm, theta)
-    _check_theta(theta, g_pruned.attrs_v)
+    expand, kw = _engine(algorithm, theta, g_pruned.attrs_v)
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta)
     pos = [ctx.bits.v_pos[v] for v in order]
     expand(ctx, ctx.bits.all_u, 0, pos[i + 1:], pos[:i], pos[i], **kw)
@@ -333,6 +328,8 @@ def enumerate_maximal_bicliques(
     Degenerate case of the fair machinery: collapsing the V-attribute domain
     to a single value with ``beta = min_r`` and an unbounded ``delta`` makes
     "fair set" mean ``|R| >= min_r``, so Algorithm 6 reduces to plain iMBEA.
+    It searches the (min_l, min_r)-core, the FCore of the collapsed graph:
+    every such biclique lies in it and stays maximal there.
     """
     collapsed = BipartiteGraph(
         adj_u=g.adj_u,
@@ -342,8 +339,9 @@ def enumerate_maximal_bicliques(
         attrs_u=g.attrs_u,
         attrs_v=(0,),
     )
+    core = fcore(collapsed, min_l, min_r)
     return search_ssfbc(
-        collapsed, min_l, min_r, delta=len(collapsed.adj_v) + 1,
+        core, min_l, min_r, delta=len(core.adj_v) + 1,
         algorithm="bcem_pp", ordering=ordering,
     )
 

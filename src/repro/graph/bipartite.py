@@ -115,9 +115,9 @@ class BitView:
         pos = self.v_pos
         return _mask(pos[v] for v in vs)
 
-    def v_counts(self, mask: int) -> list[int]:
+    def v_counts(self, mask: int) -> tuple[int, ...]:
         """``|S_a|`` for every value ``a`` of ``attrs_v``, S the lower set ``mask``."""
-        return [(mask & m).bit_count() for m in self.v_masks]
+        return tuple([(mask & m).bit_count() for m in self.v_masks])
 
 
 @dataclass(frozen=True)

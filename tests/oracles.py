@@ -5,6 +5,8 @@ Brute-force enumerators
 These enumerate fair bicliques straight from Definitions 3-6 by exhausting
 vertex subsets, with no pruning and no search-order cleverness. They are
 exponential and intended for graphs with at most ~10 vertices per side.
+Their fairness test, :func:`is_fair_set`, is written out here clause by
+clause from Definitions 5 and 11, apart from the code under test.
 
 Maximality handling:
 
@@ -38,9 +40,40 @@ import duckdb
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.fairset import is_fair_set
 from repro.core.ssfbc import Biclique
 from repro.graph.bipartite import BipartiteGraph
+
+
+def attr_counts(
+    s: Iterable[int], val: Mapping[int, Hashable], domain: Sequence[Hashable]
+) -> tuple[int, ...]:
+    """``|S_a|`` for every value ``a`` of the full ``domain``, in domain order."""
+    members = [val[x] for x in s]
+    return tuple(members.count(a) for a in domain)
+
+
+def is_fair_set(
+    s: Iterable[int],
+    val: Mapping[int, Hashable],
+    domain: Sequence[Hashable],
+    k: int,
+    delta: int,
+    theta: float | None = None,
+) -> bool:
+    """Definition 11 on the set ``s`` and, with ``theta``, Definition 5.
+
+    (1) ``|S_a| >= k`` for every value a of the domain; (2) ``|S_a| - |S_b|
+    <= delta`` for every pair of values; (3) with theta, ``|S_a| / |S| >=
+    theta`` for every value a (the empty set, fair only for k = 0, has no
+    ratio to violate).
+    """
+    c = attr_counts(s, val, domain)
+    size = sum(c)
+    return (
+        all(n >= k for n in c)
+        and all(a - b <= delta for a in c for b in c)
+        and (theta is None or size == 0 or all(n / size >= theta for n in c))
+    )
 
 
 def is_biclique(g: BipartiteGraph, us: Iterable[int], vs: Iterable[int]) -> bool:
@@ -81,6 +114,18 @@ def relabelled(g: BipartiteGraph) -> BipartiteGraph:
     )
 
 
+def round_robin_values(g: BipartiteGraph, n: int) -> BipartiteGraph:
+    """``g`` with the attribute value ``id % n`` on both sides, so every one
+    of the ``n`` values has about as many vertices."""
+    return BipartiteGraph.from_edges(
+        [(u, v) for u, vs in g.adj_u.items() for v in vs],
+        {u: u % n for u in g.adj_u},
+        {v: v % n for v in g.adj_v},
+        attrs_u=range(n),
+        attrs_v=range(n),
+    )
+
+
 def is_proper_coloring(adj: Mapping[int, Iterable[int]], color: Mapping[int, int]) -> bool:
     """True iff no edge of the undirected graph ``adj`` is monochromatic."""
     return all(color[v] != color[w] for v in adj for w in adj[v])
@@ -94,19 +139,26 @@ def brute_maximal_fair_subsets(
     delta: int,
     theta: float | None = None,
 ) -> set[frozenset[int]]:
-    """Definition-level oracle: all subsets that are fair with no fair proper superset."""
+    """Definition-level oracle: all subsets that are fair with no fair proper superset.
+
+    Subsets are bitmasks over ``sorted(s)``; each fair one is tested against
+    every proper superset of it, 3**|s| lookups in all.
+    """
     items = sorted(s)
-    fair_subsets = [
-        frozenset(c)
-        for r in range(len(items) + 1)
-        for c in itertools.combinations(items, r)
-        if is_fair_set(c, val, domain, k, delta, theta)
-    ]
-    return {
-        a
-        for a in fair_subsets
-        if not any(a < b for b in fair_subsets)
+    full = (1 << len(items)) - 1
+    fair = {
+        m
+        for m in range(full + 1)
+        if is_fair_set([x for i, x in enumerate(items) if m >> i & 1], val, domain, k, delta, theta)
     }
+    out = set()
+    for m in fair:
+        rest = sub = full ^ m
+        while sub and m | sub not in fair:
+            sub = (sub - 1) & rest
+        if not sub:
+            out.add(frozenset(x for i, x in enumerate(items) if m >> i & 1))
+    return out
 
 
 def brute_ssfbc(

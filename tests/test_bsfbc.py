@@ -7,22 +7,26 @@ import pytest
 
 from repro.core.bsfbc import expand_to_bsfbc, search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
-from repro.core.fairset import attr_counts, combination, is_fair_set, mfs_check
+from repro.core.fairset import combination, mfs_check
 from repro.core.ssfbc import SearchTimeout, expand_root, order_candidates, search_ssfbc
 from repro.graph.bipartite import BitView
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
 from tests.oracles import (
+    attr_counts,
     brute_bsfbc,
     brute_ssfbc,
     common_neighbors_of_us,
     is_biclique,
+    is_fair_set,
     relabelled,
 )
 
 PARAM_GRID = [(1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2), (1, 1, 0)]
 ALGOS = ["bcem", "bcem_pp", "nsf"]
-# (algorithm, theta, values per side): theta needs bcem_pp and two values.
-LARGE_ID_CASES = [(a, None, n) for a in ALGOS for n in (2, 3)] + [("bcem_pp", 0.4, 2)]
+# (algorithm, theta, values per side): theta needs bcem_pp and at most 1/|A|.
+LARGE_ID_CASES = [(a, None, n) for a in ALGOS for n in (2, 3)] + [
+    ("bcem_pp", 0.4, 2), ("bcem_pp", 0.3, 3), ("bcem_pp", 1 / 3, 3),
+]
 
 
 @pytest.mark.parametrize("seed", range(8))

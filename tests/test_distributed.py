@@ -6,6 +6,7 @@ from repro.core.cfcore import bcfcore, cfcore
 from repro.core.distributed import enumerate_df
 from repro.core.ssfbc import search_ssfbc
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
+from tests.oracles import brute_bsfbc, brute_ssfbc, round_robin_values
 
 
 def enumerate_collect(spark, g_pruned, alpha, beta, delta, **kw):
@@ -54,6 +55,21 @@ def test_proportion_distributed_matches_sequential(spark, g_planted):
     assert dist_b == seq_b
 
 
+def test_proportion_three_valued_distributed_matches_sequential(spark):
+    """PSSFBC and PBSFBC with three values per side, theta up to 1/3: the
+    Spark fan-out, the sequential search and the brute force agree."""
+    g = round_robin_values(random_bipartite(8, 8, 0.85, seed=3), 3)
+    for theta in (0.3, 1 / 3):
+        gp = cfcore(g, 1, 1)
+        seq = set(search_ssfbc(gp, 1, 1, 2, theta=theta))
+        assert enumerate_collect(spark, gp, 1, 1, 2, theta=theta) == seq
+        assert seq == brute_ssfbc(g, 1, 1, 2, theta) and seq
+        gb = bcfcore(g, 1, 1)
+        seq_b = set(search_bsfbc(gb, 1, 1, 2, theta=theta))
+        assert enumerate_collect(spark, gb, 1, 1, 2, model="bsfbc", theta=theta) == seq_b
+        assert seq_b == brute_bsfbc(g, 1, 1, 2, theta) and seq_b
+
+
 def test_id_ordering_distributed(spark, g_planted):
     gp = cfcore(g_planted, 2, 2)
     seq = set(search_ssfbc(gp, 2, 2, 1, ordering="id"))
@@ -90,10 +106,15 @@ def test_unknown_model_rejected(spark, g_planted):
     ids=["ssfbc-0.6-attrs0", "bsfbc-0.6-attrs1", "ssfbc-0.3-attrs2", "bsfbc-0.3-attrs3", "ssfbc-0.3-bcem"],
 )
 def test_theta_rejected_on_driver(spark, model, theta, attrs, algorithm):
-    """A theta out of range, on a 3-valued domain it applies to, or with an
-    engine other than bcem_pp raises ValueError from the driver before any
-    Spark job runs."""
+    """A theta outside (0, 1/|A|] on a domain it applies to, or with an
+    engine other than bcem_pp, raises ValueError from the driver before any
+    Spark job runs. On a 3-valued domain theta = 0.3 and 1/3 are accepted
+    (no job runs either: the result is lazy) and 0.34 raises."""
     g = random_bipartite(6, 6, 0.6, seed=0, **attrs)
+    if attrs:
+        for ok in (theta, 1 / 3):
+            enumerate_df(spark, g, 1, 1, 1, model=model, algorithm=algorithm, theta=ok)
+        theta = 0.34
     with pytest.raises(ValueError):
         enumerate_df(spark, g, 1, 1, 1, model=model, algorithm=algorithm, theta=theta)
 

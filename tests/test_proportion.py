@@ -5,9 +5,11 @@ from repro.core.bsfbc import expand_to_bsfbc, search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
 from repro.core.ssfbc import expand_root, order_candidates, search_ssfbc
 from repro.graph.generators import random_bipartite
-from tests.oracles import brute_bsfbc, brute_ssfbc
+from tests.oracles import brute_bsfbc, brute_ssfbc, round_robin_values
 
 THETA_GRID = [(1, 1, 1, 0.4), (1, 2, 2, 0.3), (2, 2, 2, 0.45), (1, 1, 2, 0.5), (2, 1, 1, 0.25)]
+# Three values per side: theta up to 1/3.
+THETA_GRID_3 = [(1, 1, 1, 0.3), (1, 1, 2, 0.25), (2, 1, 2, 0.2), (1, 2, 2, 0.28), (2, 1, 1, 1 / 3)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -24,6 +26,26 @@ def test_pssfbc_matches_bruteforce(seed, alpha, beta, delta, theta):
 @pytest.mark.parametrize("alpha,beta,delta,theta", THETA_GRID)
 def test_pbsfbc_matches_bruteforce(seed, alpha, beta, delta, theta):
     g = random_bipartite(6, 6, 0.6, seed=seed)
+    truth = brute_bsfbc(g, alpha, beta, delta, theta)
+    got = search_bsfbc(bcfcore(g, alpha, beta), alpha, beta, delta, theta=theta)
+    assert len(got) == len(set(got))
+    assert set(got) == truth
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("alpha,beta,delta,theta", THETA_GRID_3)
+def test_pssfbc_three_valued_matches_bruteforce(seed, alpha, beta, delta, theta):
+    g = round_robin_values(random_bipartite(8, 8, 0.75, seed=seed), 3)
+    truth = brute_ssfbc(g, alpha, beta, delta, theta)
+    got = search_ssfbc(cfcore(g, alpha, beta), alpha, beta, delta, theta=theta)
+    assert len(got) == len(set(got))
+    assert set(got) == truth
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("alpha,beta,delta,theta", THETA_GRID_3)
+def test_pbsfbc_three_valued_matches_bruteforce(seed, alpha, beta, delta, theta):
+    g = round_robin_values(random_bipartite(8, 8, 0.85, seed=seed), 3)
     truth = brute_bsfbc(g, alpha, beta, delta, theta)
     got = search_bsfbc(bcfcore(g, alpha, beta), alpha, beta, delta, theta=theta)
     assert len(got) == len(set(got))
@@ -87,18 +109,20 @@ def _attrs3(u: bool, v: bool):
     ],
 )
 def test_theta_rejected_on_three_valued_domain(entry, u, v):
-    """The proportion models hold only for two attribute values on each side
-    theta applies to (V for PSSFBC, both for PBSFBC); a third value raises."""
+    """On a 3-valued domain theta applies to (V for PSSFBC, both for PBSFBC)
+    the bound is 1/3: theta = 0.3 and 1/3 are accepted, 0.34 raises."""
     g = _attrs3(u, v)
     order = order_candidates(g, g.adj_v, "deg")
     call = {
-        "search_ssfbc": lambda: search_ssfbc(g, 1, 1, 1, theta=0.3),
-        "expand_root": lambda: expand_root(g, 1, 1, 1, order, 0, theta=0.3),
-        "search_bsfbc": lambda: search_bsfbc(g, 1, 1, 1, theta=0.3),
-        "expand_to_bsfbc": lambda: expand_to_bsfbc(g, [], 1, 1, 1, 0.3),
+        "search_ssfbc": lambda t: search_ssfbc(g, 1, 1, 1, theta=t),
+        "expand_root": lambda t: expand_root(g, 1, 1, 1, order, 0, theta=t),
+        "search_bsfbc": lambda t: search_bsfbc(g, 1, 1, 1, theta=t),
+        "expand_to_bsfbc": lambda t: expand_to_bsfbc(g, [], 1, 1, 1, t),
     }[entry]
+    call(0.3)
+    call(1 / 3)
     with pytest.raises(ValueError):
-        call()
+        call(0.34)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -2,7 +2,6 @@
 import pytest
 
 from repro.core.cfcore import cfcore
-from repro.core.fairset import is_fair_set
 from repro.core.ssfbc import (
     SearchTimeout,
     enumerate_maximal_bicliques,
@@ -16,12 +15,15 @@ from tests.oracles import (
     brute_ssfbc,
     common_neighbors_of_vs,
     is_biclique,
+    is_fair_set,
     relabelled,
 )
 
 ALGOS = ["bcem", "bcem_pp", "nsf"]
-# (algorithm, theta, values per side): theta needs bcem_pp and two values.
-LARGE_ID_CASES = [(a, None, n) for a in ALGOS for n in (2, 3)] + [("bcem_pp", 0.4, 2)]
+# (algorithm, theta, values per side): theta needs bcem_pp and at most 1/|A|.
+LARGE_ID_CASES = [(a, None, n) for a in ALGOS for n in (2, 3)] + [
+    ("bcem_pp", 0.4, 2), ("bcem_pp", 0.3, 3), ("bcem_pp", 1 / 3, 3),
+]
 
 PARAM_GRID = [(1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 0), (2, 2, 2), (3, 1, 1)]
 
