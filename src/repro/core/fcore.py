@@ -4,13 +4,12 @@ The fair α-β core (Definition 8) keeps upper vertices whose *attribute
 degree* to every V-attribute is >= beta and lower vertices whose degree is
 >= alpha; the bi-fair core (Definition 13) uses attribute degrees on both
 sides. FCore's lower rule is BFCore's over a one-value U domain, so both run
-one peel, :func:`_peel`: synchronous frontier rounds on numpy edge arrays,
-O(E) plus a constant per round. Any SSFBC / BSFBC survives the respective
-peel (Lemmas 1 and 3). The DataFrame formulation is :mod:`repro.core.fcore_df`.
+one peel, :func:`_peel`: synchronous frontier rounds on the graph's cached
+edge arrays (``g.arrays``), O(E) plus a constant per round. Any SSFBC /
+BSFBC survives the respective peel (Lemmas 1 and 3). The DataFrame
+formulation is :mod:`repro.core.fcore_df`.
 """
 from __future__ import annotations
-
-from itertools import chain, compress
 
 import numpy as np
 
@@ -48,33 +47,14 @@ def _peel(g: BipartiteGraph, alpha: int, beta: int, bi: bool) -> BipartiteGraph:
     """FCore (BFCore if ``bi``): without ``bi`` every upper vertex counts as one value."""
     if alpha < 1 or beta < 1:
         raise ValueError(f"{'bfcore' if bi else 'fcore'} requires alpha >= 1 and beta >= 1")
-    us, vs = list(g.adj_u), sorted(g.adj_v)
-    n_u, n_v = len(us), len(vs)
-    # Attribute values as codes 0..k-1 of their domain.
-    code_v = {a: i for i, a in enumerate(g.attrs_v)}
-    k_u, k_v = len(g.attrs_u) if bi else 1, len(code_v)
-    val_v = np.fromiter((code_v[g.v_val[v]] for v in vs), np.int64, n_v)
-    if bi:
-        code_u = {a: i for i, a in enumerate(g.attrs_u)}
-        val_u = np.fromiter((code_u[g.u_val[u]] for u in us), np.int64, n_u)
-    else:
-        val_u = np.zeros(n_u, np.int64)
-
-    # Edges sorted by upper vertex (CSR ``ptr_u``), and the same edges
-    # sorted by lower vertex (CSR ``ptr_v``, positions ``by_v``). Searching
-    # the ids in sorted order is ~4x faster than in edge order.
-    deg_u = np.fromiter(map(len, g.adj_u.values()), np.int64, n_u)
-    ptr_u = np.concatenate(([0], np.cumsum(deg_u)))
-    eu = np.repeat(np.arange(n_u), deg_u)
-    v_ids = np.fromiter(chain.from_iterable(g.adj_u.values()), np.int64, ptr_u[-1])
-    by_v = np.argsort(v_ids)
-    ev = np.empty_like(by_v)
-    ev[by_v] = np.searchsorted(np.array(vs, np.int64), v_ids[by_v])
-    ptr_v = np.concatenate(([0], np.cumsum(np.bincount(ev, minlength=n_v))))
+    arr = g.arrays
+    n_u, n_v = arr.u_ids.size, arr.v_ids.size
+    k_u, k_v = len(g.attrs_u) if bi else 1, len(g.attrs_v)
+    eu, ev, by_v, ptr_u, ptr_v = arr.eu, arr.ev, arr.by_v, arr.ptr_u, arr.ptr_v
 
     # cnt_u[u * k_v + a]: u's neighbours with V-value a; cnt_v likewise.
-    key_u = eu * k_v + val_v[ev]
-    key_v = ev * k_u + val_u[eu]
+    key_u = eu * k_v + arr.v_code[ev]
+    key_v = ev * k_u + arr.u_code[eu] if bi else ev
     cnt_u = np.bincount(key_u, minlength=n_u * k_v)
     cnt_v = np.bincount(key_v, minlength=n_v * k_u)
     alive_u = ~(cnt_u.reshape(n_u, k_v) < beta).any(axis=1)
@@ -97,4 +77,4 @@ def _peel(g: BipartiteGraph, alpha: int, beta: int, bi: bool) -> BipartiteGraph:
         alive_v[new_v] = False
         front_u, front_v = new_u, new_v
 
-    return g.induced(compress(us, alive_u.tolist()), compress(vs, alive_v.tolist()))
+    return g.induced(arr.u_ids[alive_u].tolist(), arr.v_ids[alive_v].tolist())

@@ -3,17 +3,17 @@
 Two representations:
 
 - **Local** (:class:`BipartiteGraph`): adjacency dicts + attribute maps on
-  the driver. Used by the exact O(E) peeling of :mod:`repro.core.fcore`,
-  which builds numpy edge arrays from the dicts on every call. Its bit view
-  (:class:`BitView`, ``g.bits``) is what the branch-and-bound kernels of
-  :mod:`repro.core.ssfbc` and :mod:`repro.core.bsfbc` search on: each side's
-  vertices get positions 0..n-1 and a vertex set is a Python ``int`` with one
-  bit per position, so intersections are ``&`` and sizes ``int.bit_count()``.
-  The view is built on first use, once per graph object and process, and is
-  never pickled. Its rows hold at most ``ceil(|U|/8)·|V| + ceil(|V|/8)·|U|``
-  bytes of bits, plus CPython's 28-byte header per row. Measured: 45 KiB of
-  rows on imdb-lite's 677-vertex pruned core, 7.0 MiB on the unpruned
-  18,535 × 1,829 wikicat-lite graph of Exp-4 (DESIGN.md §1).
+  the driver, plus two views that give each side's vertices positions 0..n-1
+  in increasing id order. Each is built on first use, once per graph object
+  and process, and never pickled. The FCore/BFCore peel and the 2-hop counts
+  run on the edge-array view (:class:`EdgeArrays`, ``g.arrays``): numpy CSR
+  arrays, 24 bytes per vertex and per edge. The search and expansion kernels
+  of :mod:`repro.core.ssfbc` and :mod:`repro.core.bsfbc` run on the bit view
+  (:class:`BitView`, ``g.bits``): a vertex set is an ``int`` with one bit per
+  position, so intersections are ``&`` and sizes ``int.bit_count()``. Its
+  rows hold at most ``ceil(|U|/8)·|V| + ceil(|V|/8)·|U|`` bytes, plus a
+  28-byte header each: 45 KiB on imdb-lite's 677-vertex pruned core, 7.0 MiB
+  on the unpruned 18,535 × 1,829 wikicat-lite graph of Exp-4 (DESIGN.md §1).
 - **DataFrame**: three DataFrames ``edges(u, v)``, ``u_attrs(u, val)``,
   ``v_attrs(v, val)`` — the distributed-dataflow representation that the
   DataFrame FCore/BFCore peel (:mod:`repro.core.fcore_df`) operates on.
@@ -28,10 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+import numpy as np
+
+if TYPE_CHECKING:
+    import pandas as pd
+    from pyspark.sql import DataFrame, SparkSession
 
 
 def positions(mask: int) -> list[int]:
@@ -61,8 +65,8 @@ class BitView:
     for the vertex at position ``i``: ``adj_u[i]`` is upper vertex ``i``'s
     neighbourhood over V positions, ``adj_v[j]`` lower vertex ``j``'s over U
     positions. ``v_val`` gives each lower position's attribute value and
-    ``u_masks``/``v_masks`` hold one mask per value of ``attrs_u``/``attrs_v``,
-    in domain order, so a set's count vector is one ``bit_count`` per value.
+    ``v_masks`` holds one mask per value of ``attrs_v``, in domain order, so a
+    set's count vector is one ``bit_count`` per value.
     ``all_u``/``all_v`` are the masks of a whole side.
     """
 
@@ -73,7 +77,6 @@ class BitView:
     adj_u: tuple[int, ...]
     adj_v: tuple[int, ...]
     v_val: tuple[int, ...]
-    u_masks: tuple[int, ...]
     v_masks: tuple[int, ...]
     all_u: int
     all_v: int
@@ -84,7 +87,6 @@ class BitView:
         u_ids, v_ids = tuple(sorted(g.adj_u)), tuple(sorted(g.adj_v))
         u_pos = {u: i for i, u in enumerate(u_ids)}
         v_pos = {v: j for j, v in enumerate(v_ids)}
-        u_val = tuple(g.u_val[u] for u in u_ids)
         v_val = tuple(g.v_val[v] for v in v_ids)
         return BitView(
             u_ids=u_ids,
@@ -94,7 +96,6 @@ class BitView:
             adj_u=tuple(_mask(v_pos[v] for v in g.adj_u[u]) for u in u_ids),
             adj_v=tuple(_mask(u_pos[u] for u in g.adj_v[v]) for v in v_ids),
             v_val=v_val,
-            u_masks=tuple(_mask(i for i, x in enumerate(u_val) if x == a) for a in g.attrs_u),
             v_masks=tuple(_mask(j for j, x in enumerate(v_val) if x == a) for a in g.attrs_v),
             all_u=(1 << len(u_ids)) - 1,
             all_v=(1 << len(v_ids)) - 1,
@@ -120,6 +121,58 @@ class BitView:
         return tuple([(mask & m).bit_count() for m in self.v_masks])
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeArrays:
+    """A :class:`BipartiteGraph` as ``int64`` arrays over positions.
+
+    ``u_ids``/``v_ids`` give a position's id, ``u_code``/``v_code`` its
+    value's index in ``attrs_u``/``attrs_v``. Edge ``e`` joins ``eu[e]`` and
+    ``ev[e]``. Upper position ``i``'s edges are ``ptr_u[i]:ptr_u[i + 1]``,
+    lower position ``j``'s are ``by_v[ptr_v[j]:ptr_v[j + 1]]``.
+    """
+
+    u_ids: np.ndarray
+    v_ids: np.ndarray
+    u_code: np.ndarray
+    v_code: np.ndarray
+    ptr_u: np.ndarray
+    eu: np.ndarray
+    ev: np.ndarray
+    by_v: np.ndarray
+    ptr_v: np.ndarray
+
+    @staticmethod
+    def of(g: "BipartiteGraph") -> "EdgeArrays":
+        """Build the view of ``g``; callers use the cached ``g.arrays``."""
+        us, vs = sorted(g.adj_u), sorted(g.adj_v)
+        v_ids = np.fromiter(vs, np.int64, len(vs))
+        deg_u = np.fromiter(map(len, map(g.adj_u.__getitem__, us)), np.int64, len(us))
+        ptr_u = np.concatenate(([0], np.cumsum(deg_u)))
+        v_of = np.fromiter(chain.from_iterable(map(g.adj_u.__getitem__, us)), np.int64, ptr_u[-1])
+        # Searching the ids in sorted order is ~4x faster than in edge order.
+        by_v = np.argsort(v_of)
+        ev = np.empty_like(by_v)
+        ev[by_v] = np.searchsorted(v_ids, v_of[by_v])
+        return EdgeArrays(
+            np.fromiter(us, np.int64, len(us)), v_ids,
+            _codes(us, g.u_val, g.attrs_u), _codes(vs, g.v_val, g.attrs_v),
+            ptr_u, np.repeat(np.arange(len(us)), deg_u), ev, by_v,
+            np.concatenate(([0], np.cumsum(np.bincount(ev, minlength=len(vs))))),
+        )
+
+
+def _codes(ids: list[int], val: Mapping[int, int], domain: tuple[int, ...]) -> np.ndarray:
+    """The index in ``domain`` of ``val[x]``, for each ``x`` of ``ids``."""
+    dom = np.array(domain, np.int64)
+    vals = np.fromiter(map(val.__getitem__, ids), np.int64, len(ids))
+    order = np.argsort(dom)
+    pos = np.searchsorted(dom, vals, sorter=order).clip(max=dom.size - 1)
+    code = order[pos] if dom.size else pos[:0]
+    if not np.array_equal(dom[code], vals):
+        raise ValueError("an attribute value is outside its side's domain")
+    return code
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable attributed bipartite graph.
@@ -143,10 +196,16 @@ class BipartiteGraph:
         """The graph's :class:`BitView`, built on first use."""
         return BitView.of(self)
 
+    @cached_property
+    def arrays(self) -> EdgeArrays:
+        """The graph's :class:`EdgeArrays`, built on first use."""
+        return EdgeArrays.of(self)
+
     def __getstate__(self) -> dict:
-        # The bit view is rebuilt where it is used, not shipped.
+        # The views are rebuilt where they are used, not shipped.
         state = dict(self.__dict__)
         state.pop("bits", None)
+        state.pop("arrays", None)
         return state
 
     # ---------------------------------------------------------------- build
@@ -187,6 +246,8 @@ class BipartiteGraph:
     # -------------------------------------------------------------- export
     def to_pandas(self) -> tuple[pd.DataFrame, pd.DataFrame, pd.DataFrame]:
         """Return ``(edges, u_attrs, v_attrs)`` pandas frames (sorted, deterministic)."""
+        import pandas as pd
+
         rows = sorted((u, v) for u, nbrs in self.adj_u.items() for v in nbrs)
         edges = pd.DataFrame(rows, columns=["u", "v"], dtype="int64")
         u_attrs = pd.DataFrame(

@@ -114,6 +114,12 @@ def relabelled(g: BipartiteGraph) -> BipartiteGraph:
     )
 
 
+def swapped(pairs: Iterable[tuple[frozenset[int], frozenset[int]]]) -> set:
+    """``(R, L)`` for every ``(L, R)``: results found on ``g.mirror()`` put
+    back in ``g``'s orientation (the mirror identity of BSFBC)."""
+    return {(r, l) for l, r in pairs}
+
+
 def round_robin_values(g: BipartiteGraph, n: int) -> BipartiteGraph:
     """``g`` with the attribute value ``id % n`` on both sides, so every one
     of the ``n`` values has about as many vertices."""

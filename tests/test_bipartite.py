@@ -1,6 +1,12 @@
 """BipartiteGraph representation: construction, queries, conversions."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from tests.oracles import is_biclique
@@ -84,6 +90,29 @@ def test_common_neighbors(g4):
     assert n_of_vs([]) == frozenset(g4.adj_u)
 
 
+@pytest.mark.parametrize("attrs_u", [(0, 1), (1, 0)])
+def test_edge_arrays(g4, attrs_u):
+    """The CSR runs of both sides give back the adjacency, and the codes
+    index the domain in its own order."""
+    g = BipartiteGraph(g4.adj_u, g4.adj_v, g4.u_val, g4.v_val, attrs_u, g4.attrs_v)
+    a = g.arrays
+    assert a.u_ids.tolist() == [0, 1, 2] and a.v_ids.tolist() == [0, 1, 2, 3]
+    for i, u in enumerate(a.u_ids.tolist()):
+        assert set(a.v_ids[a.ev[a.ptr_u[i]:a.ptr_u[i + 1]]].tolist()) == g.adj_u[u]
+        assert (a.eu[a.ptr_u[i]:a.ptr_u[i + 1]] == i).all()
+        assert g.attrs_u[a.u_code[i]] == g.u_val[u]
+    for j, v in enumerate(a.v_ids.tolist()):
+        assert set(a.u_ids[a.eu[a.by_v[a.ptr_v[j]:a.ptr_v[j + 1]]]].tolist()) == g.adj_v[v]
+        assert g.attrs_v[a.v_code[j]] == g.v_val[v]
+    assert g.arrays is a
+
+
+def test_edge_arrays_reject_value_outside_domain(g4):
+    g = BipartiteGraph(g4.adj_u, g4.adj_v, g4.u_val, g4.v_val, (0,), g4.attrs_v)
+    with pytest.raises(ValueError, match="outside"):
+        g.arrays
+
+
 def test_induced(g4):
     sub = g4.induced([0, 1], [1])
     assert (sub.n_u, sub.n_v, sub.n_edges) == (2, 1, 2)
@@ -124,3 +153,15 @@ def test_edge_frame_schema(g4):
     assert list(ua.columns) == ["u", "val"]
     assert list(va.columns) == ["v", "val"]
     assert e["u"].dtype == "int64"
+
+
+def test_local_engine_imports_neither_pyspark_nor_pandas():
+    """The local engine's import path stays free of pyspark and pandas, which
+    only the DataFrame form and the Spark fan-out need."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = "import sys, repro.core.bsfbc; print(sorted({'pyspark', 'pandas'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

@@ -9,7 +9,8 @@ from repro.core.bsfbc import expand_to_bsfbc, search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
 from repro.core.fairset import combination, mfs_check
 from repro.core.ssfbc import SearchTimeout, expand_root, order_candidates, search_ssfbc
-from repro.graph.bipartite import BitView
+from repro.experiments.datasets import DATASETS, load
+from repro.graph.bipartite import BitView, EdgeArrays
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
 from tests.oracles import (
     attr_counts,
@@ -19,6 +20,7 @@ from tests.oracles import (
     is_biclique,
     is_fair_set,
     relabelled,
+    swapped,
 )
 
 PARAM_GRID = [(1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2), (1, 1, 0)]
@@ -38,6 +40,10 @@ def test_matches_bruteforce(seed, alpha, beta, delta, algo):
     got = search_bsfbc(bcfcore(g, alpha, beta), alpha, beta, delta, algorithm=algo)
     assert len(got) == len(set(got)), "duplicate results"
     assert set(got) == truth
+    # Mirror identity: the BSFBCs of g.mirror() at (beta, alpha), swapped.
+    h = g.mirror()
+    mirrored = search_bsfbc(bcfcore(h, beta, alpha), beta, alpha, delta, algorithm=algo)
+    assert swapped(mirrored) == truth
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -49,6 +55,20 @@ def test_three_valued_domains_match_bruteforce(seed, alpha, beta, delta, algo):
     got = search_bsfbc(bcfcore(g, alpha, beta), alpha, beta, delta, algorithm=algo)
     assert len(got) == len(set(got)), "duplicate results"
     assert set(got) == truth
+    h = g.mirror()
+    mirrored = search_bsfbc(bcfcore(h, beta, alpha), beta, alpha, delta, algorithm=algo)
+    assert swapped(mirrored) == truth
+
+
+@pytest.mark.parametrize("dataset,count", [("imdb-lite", 75_315), ("dblp-lite", 15_393)])
+def test_mirror_identity_on_datasets(dataset, count):
+    """The mirror identity at a Table I BSFBC default: result sets far beyond
+    the brute force, with both 2-hop sides at workload scale."""
+    d = DATASETS[dataset]
+    g, a, b = load(dataset), d.alpha_b, d.beta_b
+    got = search_bsfbc(bcfcore(g, a, b), a, b, d.delta)
+    assert len(got) == count
+    assert swapped(search_bsfbc(bcfcore(g.mirror(), b, a), b, a, d.delta)) == set(got)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -71,13 +91,26 @@ def test_large_ids_match_bruteforce(seed, algo, theta, n_attrs):
 
 
 def test_one_bit_view_per_graph(monkeypatch):
-    """Every root's branch and expansion on one pruned graph (what one Spark
-    worker runs) build its bit view once, and pickling leaves it out."""
+    """Every peel and 2-hop of a BCFCore call builds each graph's edge-array
+    view once, and every root's branch and expansion on one pruned graph (what
+    one Spark worker runs) its bit view once. Pickling leaves both out."""
     g = planted_bipartite(
         PlantedSpec(n_u=120, n_v=90, n_background=300, n_blocks=6, block_u=8, block_v=8),
         seed=0,
     )
+    g_size = len(pickle.dumps(g))
+    arrays = []
+    build_arrays = EdgeArrays.of
+    monkeypatch.setattr(
+        EdgeArrays, "of", staticmethod(lambda h: arrays.append(h) or build_arrays(h))
+    )
     gp = bcfcore(g, 2, 2)
+    assert bcfcore(g, 2, 2) == gp
+    # g once, then per call the peeled graph, its mirror and the re-peeled graph.
+    assert len(arrays) == 7 and len({id(h) for h in arrays}) == 7
+    assert sum(h is g for h in arrays) == 1
+    assert len(pickle.dumps(g)) == g_size
+    assert pickle.loads(pickle.dumps(g)).__dict__.keys() == set(g.__dataclass_fields__)
     shipped = len(pickle.dumps(gp))
     builds = []
     build = BitView.of

@@ -6,7 +6,7 @@ from repro.core.cfcore import bcfcore, cfcore
 from repro.core.distributed import enumerate_df
 from repro.core.ssfbc import search_ssfbc
 from repro.graph.generators import PlantedSpec, planted_bipartite, random_bipartite
-from tests.oracles import brute_bsfbc, brute_ssfbc, round_robin_values
+from tests.oracles import brute_bsfbc, brute_ssfbc, round_robin_values, swapped
 
 
 def enumerate_collect(spark, g_pruned, alpha, beta, delta, **kw):
@@ -42,6 +42,10 @@ def test_bsfbc_distributed_matches_sequential(spark, g_planted):
     seq = set(search_bsfbc(gp, 2, 2, 1))
     dist = enumerate_collect(spark, gp, 2, 2, 1, model="bsfbc")
     assert dist == seq and len(seq) > 0
+    # Mirror identity on the Spark path, at (alpha, beta) = (2, 3) and (3, 2).
+    gb, gm = bcfcore(g_planted, 2, 3), bcfcore(g_planted.mirror(), 3, 2)
+    seq_b = set(search_bsfbc(gb, 2, 3, 1))
+    assert swapped(enumerate_collect(spark, gm, 3, 2, 1, model="bsfbc")) == seq_b and seq_b
 
 
 def test_proportion_distributed_matches_sequential(spark, g_planted):

@@ -5,7 +5,7 @@ from repro.core.bsfbc import expand_to_bsfbc, search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
 from repro.core.ssfbc import expand_root, order_candidates, search_ssfbc
 from repro.graph.generators import random_bipartite
-from tests.oracles import brute_bsfbc, brute_ssfbc, round_robin_values
+from tests.oracles import brute_bsfbc, brute_ssfbc, round_robin_values, swapped
 
 THETA_GRID = [(1, 1, 1, 0.4), (1, 2, 2, 0.3), (2, 2, 2, 0.45), (1, 1, 2, 0.5), (2, 1, 1, 0.25)]
 # Three values per side: theta up to 1/3.
@@ -30,6 +30,8 @@ def test_pbsfbc_matches_bruteforce(seed, alpha, beta, delta, theta):
     got = search_bsfbc(bcfcore(g, alpha, beta), alpha, beta, delta, theta=theta)
     assert len(got) == len(set(got))
     assert set(got) == truth
+    h = g.mirror()
+    assert swapped(search_bsfbc(bcfcore(h, beta, alpha), beta, alpha, delta, theta=theta)) == truth
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -50,6 +52,8 @@ def test_pbsfbc_three_valued_matches_bruteforce(seed, alpha, beta, delta, theta)
     got = search_bsfbc(bcfcore(g, alpha, beta), alpha, beta, delta, theta=theta)
     assert len(got) == len(set(got))
     assert set(got) == truth
+    h = g.mirror()
+    assert swapped(search_bsfbc(bcfcore(h, beta, alpha), beta, alpha, delta, theta=theta)) == truth
 
 
 @pytest.mark.parametrize("seed", range(6))
