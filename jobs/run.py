@@ -12,25 +12,16 @@ NAME and its default dataset:
 - ``exp4``: counts of maximal vs fair bicliques (Fig. 6), wikicat-lite.
 - ``exp5``: runtime vs edge fraction (Fig. 7), dblp-lite.
 - ``exp7``: proportion models vs theta (Figs. 11-12), youtube-lite.
-- ``peel``: local vs DataFrame BFCore peel on the dataset's shape scaled
-  x1, x10 and x30 (not in the paper), imdb-lite; starts a Spark session.
+- ``peel``: BFCore and BCFCore on the dataset's shape scaled x1, x10, x30
+  and x100 (not in the paper), imdb-lite. It is local: the DataFrame peel
+  remains only as the tested distributed formulation the benchmark names.
 
 The printed columns are the keys of the experiment's rows, in order.
 """
 import argparse
 
-from pyspark.sql import SparkSession
-
 from repro.experiments import counts, pruning, scalability, sweeps, table1, table2, theta
 from repro.experiments.runner import format_table
-
-
-def _peel(dataset: str) -> list[dict]:
-    spark = SparkSession.builder.appName("repro-peel").getOrCreate()
-    try:
-        return scalability.peel_ladder(spark, dataset)
-    finally:
-        spark.stop()
 
 
 EXPERIMENTS = {
@@ -45,7 +36,7 @@ EXPERIMENTS = {
     "exp4": (counts.sweep, "wikicat-lite"),
     "exp5": (scalability.sweep, "dblp-lite"),
     "exp7": (theta.sweep, "youtube-lite"),
-    "peel": (_peel, "imdb-lite"),
+    "peel": (scalability.peel_ladder, "imdb-lite"),
 }
 
 

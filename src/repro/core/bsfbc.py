@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.fairset import _check_theta, combination, mfs_check
+from repro.core.fairset import _check_query, combination, mfs_check
 from repro.core.ssfbc import Algorithm, Biclique, Ordering, SearchTimeout, search_ssfbc
 from repro.graph.bipartite import BipartiteGraph
 
@@ -32,16 +32,16 @@ def expand_to_bsfbc(
     """Algorithm 9 lines 4-8: SSFBCs -> BSFBCs via Combination on the upper side.
 
     With ``theta`` this is the BFairBCEMPro++ expansion (CombinationPro and a
-    ratio-aware MFSCheck, Sec. IV-C), theta in (0, 1/|A|] on both sides. Past
-    ``deadline`` (a ``time.perf_counter()`` value) it raises
-    :class:`SearchTimeout`.
+    ratio-aware MFSCheck, Sec. IV-C), theta in (0, 1/|A|] on both sides;
+    ``alpha`` < 1 or ``delta`` < 0 raises ``ValueError``. Past ``deadline``
+    (a ``time.perf_counter()`` value) it raises :class:`SearchTimeout`.
 
     MFSCheck(N(l'), R) depends only on the count vectors of N(l') and R,
     because R ⊆ N(L) ⊆ N(l'). So each distinct L is expanded once, its
     subsets l' grouped by the count vector of N(l') (a ``v_counts`` tuple),
     and each group is checked once per SSFBC.
     """
-    _check_theta(theta, g.attrs_u, g.attrs_v)
+    _check_query(alpha, delta, theta, g.attrs_u, g.attrs_v)
     b = g.bits
     adj_u, u_pos = b.adj_u, b.u_pos
     groups: dict[frozenset[int], list[tuple[tuple[int, ...], list[frozenset[int]]]]] = {}
@@ -85,7 +85,7 @@ def search_bsfbc(
     attribute domain A of each side). ``time_budget_s`` bounds the SSFBC
     search and the expansion together: past it, :class:`SearchTimeout`.
     """
-    _check_theta(theta, g_pruned.attrs_u, g_pruned.attrs_v)
+    _check_query(alpha, delta, theta, g_pruned.attrs_u, g_pruned.attrs_v)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     ssfbcs = search_ssfbc(
         g_pruned, alpha, beta, delta, algorithm=algorithm, ordering=ordering,

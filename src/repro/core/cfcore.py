@@ -11,16 +11,15 @@ the re-peel is exact because fair cores are confluent closures. The U side
 of BCFCore runs the V-side machinery on ``g.mirror()``. The Spark pipeline
 prunes with the same functions on the driver: the local peel beat the
 DataFrame rounds of :mod:`repro.core.fcore_df` at every measured size up to
-1.23 M edges (EXPERIMENTS.md, "Spark peel crossover"), so Spark runs only
-the enumeration fan-out. ``fcore``/``bfcore`` are called through this
-module's names, so a tracer that wraps them here sees every peel.
+4.1 M edges (EXPERIMENTS.md, "Spark peel crossover"), so Spark runs only
+the enumeration fan-out, and importing this module loads no pyspark.
+``fcore``/``bfcore`` are called through this module's names, so a tracer
+that wraps them here sees every peel.
 """
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, Sequence
-
-from pyspark.sql import SparkSession
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.coloring import greedy_color
 from repro.core.fcore import bfcore, fcore
@@ -29,6 +28,9 @@ from repro.core.twohop import Adjacency, bi_two_hop, two_hop
 from repro.core.fcore_df import bfcore_edges, fcore_edges  # noqa: F401
 from repro.core.twohop import adjacency_from_pairs  # noqa: F401
 from repro.graph.bipartite import BipartiteGraph
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 def ego_colorful_core(

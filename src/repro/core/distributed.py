@@ -16,10 +16,13 @@ first branch, and its later branches reuse it.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from typing import TYPE_CHECKING
 
 from repro.core.ssfbc import Algorithm, Ordering, _engine, order_candidates
 from repro.graph.bipartite import BipartiteGraph
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 _SCHEMA = "l array<long>, r array<long>"
 
@@ -41,12 +44,13 @@ def enumerate_df(
     ``model`` is ``"ssfbc"`` or ``"bsfbc"``; with ``theta`` set these become
     the proportion models (PSSFBC / PBSFBC), theta in (0, 1/|A|] on each
     attribute domain it applies to (V, and U for ``"bsfbc"``). A bad
-    ``algorithm`` or ``theta`` is rejected here, on the driver, before any
-    Spark job runs.
+    ``algorithm``, ``theta``, ``alpha`` < 1 or ``delta`` < 0 is rejected
+    here, on the driver, before any Spark job runs.
     """
     if model not in ("ssfbc", "bsfbc"):
         raise ValueError(f"unknown model {model!r}")
-    _engine(algorithm, theta, g_pruned.attrs_v, *([g_pruned.attrs_u] if model == "bsfbc" else []))
+    u_dom = [g_pruned.attrs_u] if model == "bsfbc" else []
+    _engine(algorithm, alpha, delta, theta, g_pruned.attrs_v, *u_dom)
     order = order_candidates(g_pruned, g_pruned.adj_v, ordering)
     n = len(order)
     payload = spark.sparkContext.broadcast(

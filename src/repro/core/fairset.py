@@ -39,6 +39,14 @@ def _check_theta(theta: float | None, *domains: Sequence[Hashable]) -> None:
         raise ValueError(f"theta must be in (0, {bound:g}] on these attribute domains, got {theta}")
 
 
+def _check_query(alpha: int, delta: int, theta: float | None, *domains: Sequence[Hashable]):
+    """Raise ValueError unless alpha >= 1, delta >= 0 and ``theta`` fits ``domains``:
+    outside these bounds the engines' answers differ from the definitions'."""
+    if alpha < 1 or delta < 0:
+        raise ValueError(f"the search requires alpha >= 1 and delta >= 0, got {alpha}, {delta}")
+    _check_theta(theta, *domains)
+
+
 def _spread(total: int, room: Sequence[int]) -> list[tuple[int, ...]]:
     """Every vector ``e`` with ``0 <= e_a <= room[a]`` and ``sum(e) == total``,
     for ``0 <= total <= sum(room)``."""

@@ -6,8 +6,8 @@ degree* to every V-attribute is >= beta and lower vertices whose degree is
 sides. FCore's lower rule is BFCore's over a one-value U domain, so both run
 one peel, :func:`_peel`: synchronous frontier rounds on the graph's cached
 edge arrays (``g.arrays``), O(E) plus a constant per round. Any SSFBC /
-BSFBC survives the respective peel (Lemmas 1 and 3). The DataFrame
-formulation is :mod:`repro.core.fcore_df`.
+BSFBC survives the respective peel (Lemmas 1 and 3). Every pipeline peels
+here; :mod:`repro.core.fcore_df` is kept only as the benchmark's named form.
 """
 from __future__ import annotations
 

@@ -7,51 +7,46 @@ maximal subgraph satisfying the degree constraints is unique and any removal
 order reaches it — so the synchronous rounds converge to exactly the
 local peel of :mod:`repro.core.fcore` (asserted by tests).
 
-No pipeline calls these functions: the Spark pruning of
-:mod:`repro.core.cfcore` peels on the driver, because the local peel beat
-these rounds at every measured size (EXPERIMENTS.md, "Spark peel
-crossover"). They are the distributed reference the tests check against the
-local peel, and the DataFrame side of ``scalability.peel_ladder``.
+No pipeline calls these functions: the local peel beat them at every
+measured size up to 4.1 M edges (EXPERIMENTS.md, "Spark peel crossover").
+They remain only as the tested distributed formulation that the benchmark's
+tracer names (``cfcore.fcore_edges``/``bfcore_edges``), and go when it stops
+naming them. pyspark is imported only where a plan is built.
 
 ``localCheckpoint`` truncates the lineage every round; without it the plan
 doubles per iteration and Catalyst analysis time dominates.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 
 def _attr_ok(
-    edges: DataFrame, attrs: DataFrame, side: str, k: int, n_attrs: int
+    edges: DataFrame, attrs: DataFrame | None, side: str, k: int, n_attrs: int
 ) -> DataFrame:
     """Vertices of ``side`` ("u" or "v") with attribute degree >= k for all values.
 
-    ``attrs`` holds the other side's attributes, ``n_attrs`` values in all.
-    An attribute value with zero neighbours never appears in the groupBy, so
-    "all values qualify" is expressed as "the number of qualifying values
-    equals the domain size".
+    ``attrs`` holds the other side's attributes, ``n_attrs`` values in all;
+    without ``attrs`` every neighbour has the one value 0, so the rule is
+    plain degree >= k (FCore's V-side rule). An attribute value with zero
+    neighbours never appears in the groupBy, so "all values qualify" is
+    expressed as "the number of qualifying values equals the domain size".
     """
+    from pyspark.sql import functions as F
+
     other = "v" if side == "u" else "u"
+    keyed = edges.join(attrs, other) if attrs is not None else edges.withColumn("val", F.lit(0))
     return (
-        edges.join(attrs, other)
-        .groupBy(side, "val")
+        keyed.groupBy(side, "val")
         .agg(F.count("*").alias("ad"))
         .where(F.col("ad") >= k)
         .groupBy(side)
         .agg(F.count("*").alias("nvals"))
         .where(F.col("nvals") >= n_attrs)
         .select(side)
-    )
-
-
-def _v_ok_degree(edges: DataFrame, alpha: int) -> DataFrame:
-    """Lower vertices with plain degree >= alpha (FCore's V-side rule)."""
-    return (
-        edges.groupBy("v")
-        .agg(F.count("*").alias("d"))
-        .where(F.col("d") >= alpha)
-        .select("v")
     )
 
 
@@ -84,7 +79,7 @@ def fcore_edges(
 
     def step(e: DataFrame) -> DataFrame:
         u_ok = _attr_ok(e, v_attrs, "u", beta, n_attrs_v)
-        v_ok = _v_ok_degree(e, alpha)
+        v_ok = _attr_ok(e, None, "v", alpha, 1)
         return e.join(u_ok, "u", "left_semi").join(v_ok, "v", "left_semi")
 
     return _iterate(edges, step)

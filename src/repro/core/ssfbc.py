@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from repro.core.fairset import _check_theta, combination, fair_counts, mfs_check
+from repro.core.fairset import _check_query, combination, fair_counts, mfs_check
 from repro.core.fcore import fcore
 from repro.graph.bipartite import BipartiteGraph, positions
 
@@ -238,14 +238,14 @@ _ENGINES = {
 }
 
 
-def _engine(algorithm: str, theta: float | None, *domains: Sequence[int]):
-    """The expand step of ``algorithm``; ``theta`` (the Pro model) needs
-    ``bcem_pp`` and a value in (0, 1/|A|] on each of ``domains``."""
+def _engine(algorithm: str, alpha: int, delta: int, theta: float | None, *domains: Sequence[int]):
+    """The expand step of ``algorithm``, after :func:`_check_query`; ``theta``
+    (the Pro model) needs ``bcem_pp``."""
     if algorithm not in _ENGINES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if theta is not None and algorithm != "bcem_pp":
         raise ValueError("theta (Pro model) requires algorithm='bcem_pp'")
-    _check_theta(theta, *domains)
+    _check_query(alpha, delta, theta, *domains)
     return _ENGINES[algorithm]
 
 
@@ -282,7 +282,7 @@ def search_ssfbc(
     :class:`SearchTimeout` once the budget elapses (the paper's 24h "INF"
     convention, scaled).
     """
-    expand, kw = _engine(algorithm, theta, g_pruned.attrs_v)
+    expand, kw = _engine(algorithm, alpha, delta, theta, g_pruned.attrs_v)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta, deadline)
     pos = ctx.bits.v_pos
@@ -309,7 +309,7 @@ def expand_root(
     Q-maximality check discards branches the sequential C-absorption would
     have skipped, so the union over i equals the sequential result).
     """
-    expand, kw = _engine(algorithm, theta, g_pruned.attrs_v)
+    expand, kw = _engine(algorithm, alpha, delta, theta, g_pruned.attrs_v)
     ctx = _Ctx(g_pruned, alpha, beta, delta, theta)
     pos = [ctx.bits.v_pos[v] for v in order]
     expand(ctx, ctx.bits.all_u, 0, pos[i + 1:], pos[:i], pos[i], **kw)

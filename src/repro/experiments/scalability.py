@@ -5,8 +5,8 @@ protocol) and times the SSFBC and BSFBC algorithm pairs on each subgraph.
 Claim to reproduce: the ++ algorithms' runtime grows more smoothly with
 graph size than the base algorithms'.
 
-:func:`peel_ladder`, not in the paper, times the local and the DataFrame
-FCore peel by graph size; it is why the Spark pipeline prunes on the driver.
+:func:`peel_ladder`, not in the paper, times the local BFCore peel and the
+whole BCFCore prune by graph size.
 """
 from __future__ import annotations
 
@@ -14,12 +14,10 @@ import statistics
 from dataclasses import replace
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.core.bsfbc import search_bsfbc
 from repro.core.cfcore import bcfcore, cfcore
 from repro.core.fcore import bfcore
-from repro.core.fcore_df import bfcore_edges
 from repro.core.ssfbc import search_ssfbc
 from repro.experiments.datasets import DATASETS, load
 from repro.experiments.runner import timed
@@ -27,7 +25,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import planted_bipartite
 
 FRACTIONS = [0.2, 0.4, 0.6, 0.8, 1.0]
-SCALES = (1, 10, 30)
+SCALES = (1, 10, 30, 100)
 
 
 def edge_sample(g: BipartiteGraph, fraction: float, seed: int = 0) -> BipartiteGraph:
@@ -67,16 +65,13 @@ def sweep(dataset: str = "dblp-lite", seed: int = 0) -> list[dict]:
     return rows
 
 
-def peel_ladder(
-    spark: SparkSession, dataset: str = "imdb-lite", scales: tuple[int, ...] = SCALES
-) -> list[dict]:
-    """Local ``bfcore`` vs the DataFrame ``bfcore_edges`` fixpoint, by graph size.
+def peel_ladder(dataset: str = "imdb-lite", scales: tuple[int, ...] = SCALES) -> list[dict]:
+    """``bfcore`` and ``bcfcore`` by graph size.
 
     Rung ``scale`` multiplies ``dataset``'s vertex, background-edge and block
     counts by ``scale`` (block sizes and density kept) at the BSFBC defaults.
-    Times are medians of 3 runs: the local peel from the graph, and the
-    DataFrame fixpoint from its DataFrames (``to_spark`` untimed) through the
-    collect of the core's edges.
+    Times are medians of 3 runs on one graph object, whose first peel also
+    builds its edge-array view; ``bcfcore`` includes its own peel.
     """
     d = DATASETS[dataset]
     a, b = d.alpha_b, d.beta_b
@@ -90,25 +85,21 @@ def peel_ladder(
             ),
             seed=d.seed,
         )
-        edges, u_attrs, v_attrs = g.to_spark(spark)
-        local_s, df_s = [], []
+        peel_s, prune_s = [], []
         for _ in range(3):
             core, t = timed(lambda: bfcore(g, a, b))
-            local_s.append(t)
-            pdf, t = timed(lambda: bfcore_edges(
-                edges, u_attrs, v_attrs, a, b, len(g.attrs_u), len(g.attrs_v)
-            ).toPandas())
-            df_s.append(t)
+            peel_s.append(t)
+            pruned, t = timed(lambda: bcfcore(g, a, b))
+            prune_s.append(t)
         rows.append(
             {
                 "dataset": dataset,
                 "scale": scale,
                 "edges": g.n_edges,
                 "core_edges": core.n_edges,
-                "local_s": round(statistics.median(local_s), 3),
-                "df_s": round(statistics.median(df_s), 3),
-                "equal": set(zip(pdf["u"], pdf["v"]))
-                == {(u, v) for u, nbrs in core.adj_u.items() for v in nbrs},
+                "pruned_edges": pruned.n_edges,
+                "bfcore_s": round(statistics.median(peel_s), 3),
+                "bcfcore_s": round(statistics.median(prune_s), 3),
             }
         )
     return rows

@@ -14,27 +14,27 @@ Two representations:
   rows hold at most ``ceil(|U|/8)·|V| + ceil(|V|/8)·|U|`` bytes, plus a
   28-byte header each: 45 KiB on imdb-lite's 677-vertex pruned core, 7.0 MiB
   on the unpruned 18,535 × 1,829 wikicat-lite graph of Exp-4 (DESIGN.md §1).
-- **DataFrame**: three DataFrames ``edges(u, v)``, ``u_attrs(u, val)``,
-  ``v_attrs(v, val)`` — the distributed-dataflow representation that the
-  DataFrame FCore/BFCore peel (:mod:`repro.core.fcore_df`) operates on.
-  The pruning pipelines, the Spark one included, run on the local form.
+- **DataFrame** (``to_spark``): ``edges(u, v)``, ``u_attrs(u, val)``,
+  ``v_attrs(v, val)``, the input of the DataFrame peel
+  (:mod:`repro.core.fcore_df`), which only tests and the benchmark's tracer
+  name. Every pipeline prunes on the local form; this module loads no pyspark.
 
 Attribute domains ``attrs_u`` / ``attrs_v`` are carried explicitly: the
 fairness definitions quantify over *all* values of ``A(U)`` / ``A(V)`` in the
 original graph, so a pruned subgraph must remember the full domain even if a
-value no longer occurs in it.
+value no longer occurs in it. A value outside its side's domain is rejected
+by :meth:`BipartiteGraph.from_edges` and by both views.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:
-    import pandas as pd
     from pyspark.sql import DataFrame, SparkSession
 
 
@@ -87,6 +87,8 @@ class BitView:
         u_ids, v_ids = tuple(sorted(g.adj_u)), tuple(sorted(g.adj_v))
         u_pos = {u: i for i, u in enumerate(u_ids)}
         v_pos = {v: j for j, v in enumerate(v_ids)}
+        _codes(u_ids, g.u_val, g.attrs_u)
+        _codes(v_ids, g.v_val, g.attrs_v)
         v_val = tuple(g.v_val[v] for v in v_ids)
         return BitView(
             u_ids=u_ids,
@@ -161,7 +163,7 @@ class EdgeArrays:
         )
 
 
-def _codes(ids: list[int], val: Mapping[int, int], domain: tuple[int, ...]) -> np.ndarray:
+def _codes(ids: Sequence[int], val: Mapping[int, int], domain: tuple[int, ...]) -> np.ndarray:
     """The index in ``domain`` of ``val[x]``, for each ``x`` of ``ids``."""
     dom = np.array(domain, np.int64)
     vals = np.fromiter(map(val.__getitem__, ids), np.int64, len(ids))
@@ -221,7 +223,8 @@ class BipartiteGraph:
 
         Every key of ``u_val`` / ``v_val`` becomes a vertex (so isolated
         vertices survive). Attribute domains default to the distinct values
-        present in the maps.
+        present in the maps; a value outside a given domain raises
+        ``ValueError``.
         """
         adj_u: dict[int, set[int]] = {u: set() for u in u_val}
         adj_v: dict[int, set[int]] = {v: set() for v in v_val}
@@ -234,6 +237,8 @@ class BipartiteGraph:
             adj_v[v].add(u)
         au = tuple(sorted(set(attrs_u) if attrs_u is not None else set(u_val.values())))
         av = tuple(sorted(set(attrs_v) if attrs_v is not None else set(v_val.values())))
+        _codes(list(u_val), u_val, au)
+        _codes(list(v_val), v_val, av)
         return BipartiteGraph(
             adj_u={u: frozenset(s) for u, s in adj_u.items()},
             adj_v={v: frozenset(s) for v, s in adj_v.items()},
@@ -244,29 +249,15 @@ class BipartiteGraph:
         )
 
     # -------------------------------------------------------------- export
-    def to_pandas(self) -> tuple[pd.DataFrame, pd.DataFrame, pd.DataFrame]:
-        """Return ``(edges, u_attrs, v_attrs)`` pandas frames (sorted, deterministic)."""
-        import pandas as pd
-
-        rows = sorted((u, v) for u, nbrs in self.adj_u.items() for v in nbrs)
-        edges = pd.DataFrame(rows, columns=["u", "v"], dtype="int64")
-        u_attrs = pd.DataFrame(
-            sorted(self.u_val.items()), columns=["u", "val"], dtype="int64"
-        )
-        v_attrs = pd.DataFrame(
-            sorted(self.v_val.items()), columns=["v", "val"], dtype="int64"
-        )
-        return edges, u_attrs, v_attrs
-
     def to_spark(
         self, spark: SparkSession
     ) -> tuple[DataFrame, DataFrame, DataFrame]:
-        """Return ``(edges, u_attrs, v_attrs)`` Spark DataFrames."""
-        edges, u_attrs, v_attrs = self.to_pandas()
+        """Return ``(edges, u_attrs, v_attrs)`` Spark DataFrames of sorted rows."""
+        edges = sorted((u, v) for u, nbrs in self.adj_u.items() for v in nbrs)
         return (
             spark.createDataFrame(edges, schema="u long, v long"),
-            spark.createDataFrame(u_attrs, schema="u long, val long"),
-            spark.createDataFrame(v_attrs, schema="v long, val long"),
+            spark.createDataFrame(sorted(self.u_val.items()), schema="u long, val long"),
+            spark.createDataFrame(sorted(self.v_val.items()), schema="v long, val long"),
         )
 
     # ------------------------------------------------------------- queries

@@ -7,9 +7,9 @@ tail of an affiliation network) plus planted overlapping dense blocks (the
 communities that give real affiliation networks their nontrivial maximal
 bicliques), with uniform random attributes on both sides.
 
-All generators are deterministic in ``seed`` and return plain Python /
-pandas structures; the Spark layer is obtained via
-:meth:`repro.graph.bipartite.BipartiteGraph.to_spark`.
+All generators are deterministic in ``seed`` and return a local
+:class:`~repro.graph.bipartite.BipartiteGraph`; ``to_spark`` turns one into
+DataFrames for the DataFrame peel and the Spark-side tests.
 """
 from __future__ import annotations
 

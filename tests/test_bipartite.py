@@ -108,9 +108,19 @@ def test_edge_arrays(g4, attrs_u):
 
 
 def test_edge_arrays_reject_value_outside_domain(g4):
-    g = BipartiteGraph(g4.adj_u, g4.adj_v, g4.u_val, g4.v_val, (0,), g4.attrs_v)
+    """A value outside its side's domain is rejected on every path: by both
+    views of a graph built directly, and by ``from_edges`` at construction."""
+    for u_dom, v_dom in [((0,), g4.attrs_v), (g4.attrs_u, (1,))]:
+        g = BipartiteGraph(g4.adj_u, g4.adj_v, g4.u_val, g4.v_val, u_dom, v_dom)
+        with pytest.raises(ValueError, match="outside"):
+            g.arrays
+        with pytest.raises(ValueError, match="outside"):
+            g.bits
+    k23 = [(u, v) for u in (0, 1) for v in (0, 1, 2)]
     with pytest.raises(ValueError, match="outside"):
-        g.arrays
+        BipartiteGraph.from_edges(k23, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 5}, (0, 1), (0, 1))
+    with pytest.raises(ValueError, match="outside"):
+        BipartiteGraph.from_edges(k23, {0: 0, 1: 7}, {0: 0, 1: 1, 2: 1}, (0, 1), (0, 1))
 
 
 def test_induced(g4):
@@ -131,37 +141,44 @@ def test_is_biclique(g4):
     assert is_biclique(g4, [], [0])
 
 
-def test_pandas_roundtrip(g4):
-    e, ua, va = g4.to_pandas()
-    assert _from_frames(e, ua, va) == g4
-
-
-def test_pandas_roundtrip_random():
-    g = random_bipartite(12, 9, 0.3, seed=5)
-    e, ua, va = g.to_pandas()
-    assert _from_frames(e, ua, va, attrs_u=g.attrs_u, attrs_v=g.attrs_v) == g
-
-
 def test_spark_roundtrip(spark, g4):
+    """``to_spark`` gives back the graph, in three frames of ``long`` columns."""
     e, ua, va = g4.to_spark(spark)
+    assert [f.simpleString() for f in (e.schema, ua.schema, va.schema)] == [
+        "struct<u:bigint,v:bigint>", "struct<u:bigint,val:bigint>", "struct<v:bigint,val:bigint>",
+    ]
     assert _from_frames(e.toPandas(), ua.toPandas(), va.toPandas()) == g4
+    g = random_bipartite(12, 9, 0.3, seed=5)
+    frames = [f.toPandas() for f in g.to_spark(spark)]
+    assert _from_frames(*frames, attrs_u=g.attrs_u, attrs_v=g.attrs_v) == g
 
 
-def test_edge_frame_schema(g4):
-    e, ua, va = g4.to_pandas()
-    assert list(e.columns) == ["u", "v"]
-    assert list(ua.columns) == ["u", "val"]
-    assert list(va.columns) == ["v", "val"]
-    assert e["u"].dtype == "int64"
+# Every local entry point: the engines, the pruning, the Spark fan-out's
+# driver module (pyspark only under TYPE_CHECKING), the experiments and their job.
+LOCAL_ENTRY_POINTS = [
+    "repro.core.bsfbc",
+    "repro.core.cfcore",
+    "repro.core.distributed",
+    "repro.experiments.scalability",
+    "jobs.run",
+]
 
 
 def test_local_engine_imports_neither_pyspark_nor_pandas():
-    """The local engine's import path stays free of pyspark and pandas, which
-    only the DataFrame form and the Spark fan-out need."""
-    src = str(Path(repro.__file__).resolve().parents[1])
-    code = "import sys, repro.core.bsfbc; print(sorted({'pyspark', 'pandas'} & set(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.stdout.strip() == "[]"
+    """Importing a local entry point loads none of pyspark, pandas or pyarrow,
+    which only the DataFrame form and the Spark fan-out need. Each module is
+    imported alone, in a fresh interpreter."""
+    root = Path(repro.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    loaded = {}
+    for module in LOCAL_ENTRY_POINTS:
+        code = (
+            f"import sys, {module}; "
+            "print(sorted({'pyspark', 'pandas', 'pyarrow'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            timeout=120, env=env,
+        )
+        loaded[module] = out.stdout.strip()
+    assert loaded == {module: "[]" for module in LOCAL_ENTRY_POINTS}

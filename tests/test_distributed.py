@@ -94,8 +94,13 @@ def test_result_schema(spark, g_planted):
 
 
 def test_unknown_model_rejected(spark, g_planted):
+    """An unknown model, alpha < 1 or delta < 0 raises on the driver."""
     with pytest.raises(ValueError):
         enumerate_df(spark, g_planted, 1, 1, 1, model="nope")
+    for model in ("ssfbc", "bsfbc"):
+        for alpha, delta in [(0, 1), (1, -1)]:
+            with pytest.raises(ValueError, match="alpha >= 1 and delta >= 0"):
+                enumerate_df(spark, g_planted, alpha, 1, delta, model=model)
 
 
 @pytest.mark.parametrize(

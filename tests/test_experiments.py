@@ -1,6 +1,8 @@
 """Experiment harness smoke + shape checks (the claims EXPERIMENTS.md reports)."""
 import pytest
 
+from repro.core.cfcore import bcfcore
+from repro.core.fcore import bfcore
 from repro.experiments import counts, pruning, scalability, sweeps, table1, table2, theta
 from repro.experiments.datasets import DATASETS, load
 from repro.experiments.runner import format_table
@@ -43,7 +45,6 @@ def test_table1_stats_with_spark_and_oracle(spark):
     assert row["E"] > 0
     # The edge-count aggregation, DuckDB-oracled.
     g = load("youtube-lite")
-    e_pdf, _u, _v = g.to_pandas()
     edges, _ua, _va = g.to_spark(spark)
     got = edges.agg(
         F.countDistinct("u").alias("nu"),
@@ -53,7 +54,7 @@ def test_table1_stats_with_spark_and_oracle(spark):
     assert_equivalent(
         got,
         "SELECT COUNT(DISTINCT u) AS nu, COUNT(DISTINCT v) AS nv, COUNT(*) AS ne FROM edges",
-        edges=e_pdf,
+        edges=edges,
     )
     assert got.collect()[0]["ne"] == row["E"]
 
@@ -137,11 +138,15 @@ def test_scalability_edge_sample():
     assert scalability.edge_sample(g, 1.1, seed=1).n_edges == g.n_edges
 
 
-def test_peel_ladder_scale_one_is_the_dataset(spark):
-    """Rung 1 is the dataset itself, and both peels give the same core."""
-    (row,) = scalability.peel_ladder(spark, "youtube-lite", scales=(1,))
-    assert row["scale"] == 1 and row["edges"] == load("youtube-lite").n_edges
-    assert row["core_edges"] > 0 and row["equal"] is True
+def test_peel_ladder_scale_one_is_the_dataset():
+    """Rung 1 is the dataset itself, and its two cores are the dataset's."""
+    d = DATASETS["youtube-lite"]
+    g = load("youtube-lite")
+    (row,) = scalability.peel_ladder("youtube-lite", scales=(1,))
+    assert row["scale"] == 1 and row["edges"] == g.n_edges
+    assert row["core_edges"] == bfcore(g, d.alpha_b, d.beta_b).n_edges > 0
+    assert row["pruned_edges"] == bcfcore(g, d.alpha_b, d.beta_b).n_edges > 0
+    assert row["bfcore_s"] > 0 and row["bcfcore_s"] > 0
 
 
 def test_format_table():

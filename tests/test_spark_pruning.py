@@ -37,7 +37,6 @@ def g_planted3():
 
 def test_attribute_degree_query_oracle(spark, g_small):
     """The attribute-degree building block of FCore, checked against DuckDB."""
-    e_pdf, _u, v_pdf = g_small.to_pandas()
     edges, _ua, v_attrs = g_small.to_spark(spark)
     got = (
         edges.join(v_attrs, "v")
@@ -51,26 +50,24 @@ def test_attribute_degree_query_oracle(spark, g_small):
         FROM edges e JOIN v_attrs a ON e.v = a.v
         GROUP BY e.u, a.val
         """,
-        edges=e_pdf,
-        v_attrs=v_pdf,
+        edges=edges,
+        v_attrs=v_attrs,
     )
 
 
 def test_degree_query_oracle(spark, g_small):
-    e_pdf, _u, _v = g_small.to_pandas()
     edges, _ua, _va = g_small.to_spark(spark)
     got = edges.groupBy("v").agg(F.count("*").alias("d"))
     assert_equivalent(
         got,
         "SELECT v AS v, COUNT(*) AS d FROM edges GROUP BY v",
-        edges=e_pdf,
+        edges=edges,
     )
 
 
 def test_min_attr_degree_filter_oracle(spark, g_small):
     """One full FCore U-side round expressed in SQL vs the DataFrame plan."""
     beta, n_av = 2, len(g_small.attrs_v)
-    e_pdf, _u, v_pdf = g_small.to_pandas()
     edges, _ua, v_attrs = g_small.to_spark(spark)
     got = (
         edges.join(v_attrs, "v")
@@ -92,8 +89,8 @@ def test_min_attr_degree_filter_oracle(spark, g_small):
             HAVING COUNT(*) >= {beta}
         ) GROUP BY u HAVING COUNT(*) >= {n_av}
         """,
-        edges=e_pdf,
-        v_attrs=v_pdf,
+        edges=edges,
+        v_attrs=v_attrs,
     )
 
 

@@ -1,6 +1,7 @@
 """SSFBC enumeration vs the brute-force oracle, across algorithms and orderings."""
 import pytest
 
+from repro.core.bsfbc import expand_to_bsfbc, search_bsfbc
 from repro.core.cfcore import cfcore
 from repro.core.ssfbc import (
     SearchTimeout,
@@ -140,11 +141,23 @@ def test_time_budget_raises_searchtimeout():
 
 
 def test_unknown_algorithm_rejected():
+    """An unknown engine, alpha < 1 or delta < 0 raises before any search:
+    below those bounds the engines disagree with the brute force."""
     g = random_bipartite(4, 4, 0.5, seed=0)
     with pytest.raises(ValueError):
         search_ssfbc(g, 1, 1, 1, algorithm="bogus")
     with pytest.raises(ValueError):
         expand_root(g, 1, 1, 1, sorted(g.adj_v), 0, algorithm="bogus")
+    for alpha, delta in [(0, 1), (1, -1)]:
+        for algo in ALGOS:
+            with pytest.raises(ValueError, match="alpha >= 1 and delta >= 0"):
+                search_ssfbc(g, alpha, 1, delta, algorithm=algo)
+            with pytest.raises(ValueError, match="alpha >= 1 and delta >= 0"):
+                expand_root(g, alpha, 1, delta, sorted(g.adj_v), 0, algorithm=algo)
+        with pytest.raises(ValueError, match="alpha >= 1 and delta >= 0"):
+            search_bsfbc(g, alpha, 1, delta)
+        with pytest.raises(ValueError, match="alpha >= 1 and delta >= 0"):
+            expand_to_bsfbc(g, search_ssfbc(g, 1, 1, 1), alpha, 1, delta)
 
 
 def test_theta_requires_pp():
